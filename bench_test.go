@@ -199,14 +199,14 @@ func BenchmarkHammingSearch1k(b *testing.B) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(8192, rng)
 	}
-	s, err := hdc.NewSearcher(refs)
+	s, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := hdc.RandomBinaryHV(8192, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TopK(q, nil, 5)
+		s.TopKRange(q, 0, s.Len(), 5)
 	}
 }
 
@@ -304,13 +304,17 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 		for _, nRefs := range []int{10_000, 100_000} {
 			b.Run(fmt.Sprintf("D%d/refs%d", d, nRefs), func(b *testing.B) {
 				refs, queries := batchBenchInputs(b, d, nRefs, batchBenchQueries)
-				s, err := hdc.NewSearcher(refs)
+				s, err := hdc.NewShardedSearcher(refs, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
+				full := make([]hdc.RowRange, len(queries))
+				for i := range full {
+					full[i] = hdc.RowRange{Lo: 0, Hi: nRefs}
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.BatchTopK(queries, nil, 5)
+					s.BatchTopKRange(queries, full, 5, nil)
 				}
 				b.ReportMetric(float64(batchBenchQueries), "queries/op")
 			})
@@ -322,11 +326,8 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 // paper's operating point (D=8192, 100k references) with realistic
 // precursor-window occupancy (each query's candidate set is a
 // contiguous 25% slice of the mass-ordered store, windows sliding
-// with query mass). The range variant streams candidates through the
-// block-major BatchTopKRange kernel; the gather variant is the
-// retained per-query candidate-slice path the range engine replaces
-// on the engine hot path. The ratio of the two is the open-search
-// speedup (acceptance: range beats gather).
+// with query mass), streaming candidates through the block-major
+// BatchTopKRange kernel.
 func BenchmarkOpenSearchBatch(b *testing.B) {
 	const (
 		d         = 8192
@@ -335,7 +336,7 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 		occupancy = 0.25
 	)
 	refs, queries := batchBenchInputs(b, d, nRefs, nQueries)
-	s, err := hdc.NewSearcher(refs)
+	s, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,24 +348,10 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 		lo := i * (nRefs - width) / nQueries
 		ranges[i] = hdc.RowRange{Lo: lo, Hi: lo + width}
 	}
-	cands := make([][]int, nQueries)
-	for i, r := range ranges {
-		cands[i] = make([]int, r.Len())
-		for j := range cands[i] {
-			cands[i][j] = r.Lo + j
-		}
-	}
 	b.Run("range", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.BatchTopKRange(queries, ranges, 5)
-		}
-		b.ReportMetric(float64(nQueries), "queries/op")
-	})
-	b.Run("gather", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.BatchTopK(queries, cands, 5)
+			s.BatchTopKRange(queries, ranges, 5, nil)
 		}
 		b.ReportMetric(float64(nQueries), "queries/op")
 	})
@@ -384,12 +371,12 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 // >= 1.3x over single-tier (ratio of the two sub-benchmarks).
 func BenchmarkCascadeTopKRange(b *testing.B) {
 	const (
-		d              = 8192
-		nRefs          = 100_000
-		nQueries       = batchBenchQueries
-		occupancy      = 0.25
-		k              = 5
-		prefilterWords = 16
+		d          = 8192
+		nRefs      = 100_000
+		nQueries   = batchBenchQueries
+		occupancy  = 0.25
+		k          = 5
+		tier0Words = 16
 	)
 	refs, queries := batchBenchInputs(b, d, nRefs, nQueries)
 	rng := rand.New(rand.NewSource(13))
@@ -404,11 +391,11 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 			refs[lo+j].FlipBits(0.03, rng)
 		}
 	}
-	single, err := hdc.NewSearcher(refs)
+	single, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cascade, err := hdc.NewSearcherCascade(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
+	cascade, err := hdc.NewShardedSearcherCascade(refs, 0, hdc.CascadeConfig{Tiers: []int{tier0Words}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -416,7 +403,7 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 		before, _ := cascade.CascadeStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cascade.BatchTopKRange(queries, ranges, k)
+			cascade.BatchTopKRange(queries, ranges, k, nil)
 		}
 		b.StopTimer()
 		after, _ := cascade.CascadeStats()
@@ -434,7 +421,7 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr.Reset()
-			cascade.BatchTopKRangeTraced(queries, ranges, k, &tr)
+			cascade.BatchTopKRange(queries, ranges, k, &tr)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(nQueries), "queries/op")
@@ -442,7 +429,7 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 	b.Run("single-tier", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			single.BatchTopKRange(queries, ranges, k)
+			single.BatchTopKRange(queries, ranges, k, nil)
 		}
 		b.ReportMetric(float64(nQueries), "queries/op")
 	})
@@ -450,9 +437,9 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 	// must be bit-identical to the single-tier kernel on this
 	// workload, traced or not — timing never alters control flow.
 	var tr obsv.Trace
-	got := cascade.BatchTopKRange(queries, ranges, k)
-	traced := cascade.BatchTopKRangeTraced(queries, ranges, k, &tr)
-	want := single.BatchTopKRange(queries, ranges, k)
+	got := cascade.BatchTopKRange(queries, ranges, k, nil)
+	traced := cascade.BatchTopKRange(queries, ranges, k, &tr)
+	want := single.BatchTopKRange(queries, ranges, k, nil)
 	for i := range want {
 		if len(got[i]) != len(want[i]) || len(traced[i]) != len(want[i]) {
 			b.Fatalf("query %d: cascade diverged from single-tier", i)
@@ -552,19 +539,19 @@ func BenchmarkCascadeLadderLayout(b *testing.B) {
 		permQueries[i] = hdc.PermuteBits(queries[i], perm)
 	}
 
-	natural, err := hdc.NewSearcherCascade(refs, 0, hdc.CascadeConfig{Tiers: tiers})
+	natural, err := hdc.NewShardedSearcherCascade(refs, 0, hdc.CascadeConfig{Tiers: tiers})
 	if err != nil {
 		b.Fatal(err)
 	}
-	entropy, err := hdc.NewSearcherCascade(permRefs, 0, hdc.CascadeConfig{Tiers: tiers})
+	entropy, err := hdc.NewShardedSearcherCascade(permRefs, 0, hdc.CascadeConfig{Tiers: tiers})
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, s *hdc.Searcher, qs []hdc.BinaryHV) {
+	run := func(b *testing.B, s *hdc.ShardedSearcher, qs []hdc.BinaryHV) {
 		before, _ := s.CascadeStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.BatchTopKRange(qs, ranges, k)
+			s.BatchTopKRange(qs, ranges, k, nil)
 		}
 		b.StopTimer()
 		after, _ := s.CascadeStats()
@@ -577,8 +564,8 @@ func BenchmarkCascadeLadderLayout(b *testing.B) {
 	b.Run("entropy", func(b *testing.B) { run(b, entropy, permQueries) })
 
 	// Exactness spot check outside the timed sections.
-	want := natural.BatchTopKRange(queries, ranges, k)
-	got := entropy.BatchTopKRange(permQueries, ranges, k)
+	want := natural.BatchTopKRange(queries, ranges, k, nil)
+	got := entropy.BatchTopKRange(permQueries, ranges, k, nil)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			b.Fatalf("query %d: entropy layout changed the match count", i)

@@ -23,11 +23,9 @@ type servingConfig struct {
 	standard  bool
 	topk      int
 	// tiers overrides the index's cascade ladder (nil = keep the index
-	// setting); prefilterWords is the deprecated two-tier alias (-1 =
-	// keep). Setting either replaces the stored ladder outright.
-	tiers          []int
-	prefilterWords int
-	shortlist      int
+	// setting); a non-nil ladder replaces the stored one outright.
+	tiers     []int
+	shortlist int
 	// slowQuery is the -slow-query latency threshold (0 = no threshold;
 	// the slow ring still keeps the worst traces).
 	slowQuery time.Duration
@@ -48,14 +46,12 @@ type serving struct {
 	closeIndex func() error
 	desc       string
 	partitions int
-	// tiers/prefilterWords/shortlist are the effective cascade settings
-	// the engine was built with (index params after flag overrides) —
-	// the startup log must report these, not the "index setting" flag
-	// sentinels.
-	tiers          []int
-	prefilterWords int
-	shortlist      int
-	loaded         time.Time
+	// tiers/shortlist are the effective cascade settings the engine
+	// was built with (index params after flag overrides) — the startup
+	// log must report these, not the "index setting" flag sentinels.
+	tiers     []int
+	shortlist int
+	loaded    time.Time
 	// overlay is the incremental-update state of a partitioned index
 	// (manifest generation, delta tier, tombstones); zero for
 	// single-file indexes.
@@ -88,11 +84,8 @@ func buildServing(cfg servingConfig) (*serving, error) {
 		if cfg.topk > 0 {
 			p.TopK = cfg.topk
 		}
-		if cfg.prefilterWords >= 0 {
-			p.Tiers, p.PrefilterWords = nil, cfg.prefilterWords
-		}
 		if len(cfg.tiers) > 0 {
-			p.Tiers, p.PrefilterWords = cfg.tiers, 0
+			p.Tiers = cfg.tiers
 		}
 		if cfg.shortlist >= 0 {
 			p.ShortlistPerQuery = cfg.shortlist
@@ -106,7 +99,6 @@ func buildServing(cfg servingConfig) (*serving, error) {
 	sv := &serving{loaded: time.Now()}
 	record := func(p core.Params) core.Params {
 		sv.tiers = p.Tiers
-		sv.prefilterWords = p.PrefilterWords
 		sv.shortlist = p.ShortlistPerQuery
 		return p
 	}

@@ -220,7 +220,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 
 	cfg := servingConfig{
 		indexPath: manifest, maxBatch: 8, maxDelay: 200 * time.Microsecond,
-		maxQueue: 1024, prefilterWords: -1, shortlist: -1,
+		maxQueue: 1024, shortlist: -1,
 	}
 	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
 	if _, err := d.reload(); err != nil {

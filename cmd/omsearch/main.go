@@ -12,10 +12,8 @@
 // row's packed words are sliced into the given widths, tier 0 scores
 // every candidate, and each deeper tier scores only the rows whose
 // partial distance can still enter the top-k — exact by construction
-// for any ladder. -prefilter-words N is the deprecated two-tier alias
-// (equivalent to -tiers N,rest); the two flags are mutually
-// exclusive. With -shortlist M the ladder instead completes only the
-// M best tier-0 rows per query (approximate,
+// for any ladder. With -shortlist M the ladder instead completes only
+// the M best tier-0 rows per query (approximate,
 // ANN-SoLo/HyperOMS-style). Per-tier pruning rates are reported on
 // stderr.
 //
@@ -71,7 +69,6 @@ func main() {
 	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = index/default setting)")
 	bitLayout := flag.String("bit-layout", "", "bit layout for -library builds: natural or entropy (empty = natural; an index's layout is fixed at build time)")
-	prefilterWords := flag.Int("prefilter-words", -1, "deprecated two-tier alias for -tiers N,rest (-1 = index/default setting, 0 = single-tier scan)")
 	shortlist := flag.Int("shortlist", -1, "approximate cascade: complete only the best N tier-0 rows per query (-1 = index/default setting, 0 = exact pruning bound)")
 	rescore := flag.Float64("rescore", 0, "blend factor for shifted-dot rescoring of the HD shortlist (0 = off, 1 = pure shifted-dot)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -81,9 +78,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "omsearch: exactly one of -library and -index is required, plus -queries")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *tiersSpec != "" && *prefilterWords >= 0 {
-		fatalIf(fmt.Errorf("-tiers and -prefilter-words (its deprecated two-tier alias) are mutually exclusive"))
 	}
 	tiers, err := core.ParseTiers(*tiersSpec)
 	fatalIf(err)
@@ -105,20 +99,16 @@ func main() {
 			fatalIf(fmt.Errorf("-bit-layout applies to -library builds; an index's layout is fixed when omsbuild writes it"))
 		}
 		// Query-time settings come from flags; encoder identity stays
-		// as the index was built. Setting either cascade flag replaces
-		// the index's stored ladder outright (Tiers and PrefilterWords
-		// are mutually exclusive in core.Params).
+		// as the index was built. -tiers replaces the index's stored
+		// ladder outright.
 		override := func(p core.Params) core.Params {
 			p.FDRAlpha = *alpha
 			p.Open = !*standard
 			if *shardSize > 0 {
 				p.ShardSize = *shardSize
 			}
-			if *prefilterWords >= 0 {
-				p.Tiers, p.PrefilterWords = nil, *prefilterWords
-			}
 			if len(tiers) > 0 {
-				p.Tiers, p.PrefilterWords = tiers, 0
+				p.Tiers = tiers
 			}
 			if *shortlist >= 0 {
 				p.ShortlistPerQuery = *shortlist
@@ -153,12 +143,7 @@ func main() {
 		p.Open = !*standard
 		p.ShardSize = *shardSize
 		p.BitLayout = *bitLayout
-		if *prefilterWords >= 0 {
-			p.Tiers, p.PrefilterWords = nil, *prefilterWords
-		}
-		if len(tiers) > 0 {
-			p.Tiers, p.PrefilterWords = tiers, 0
-		}
+		p.Tiers = tiers
 		if *shortlist >= 0 {
 			p.ShortlistPerQuery = *shortlist
 		}

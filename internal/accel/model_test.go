@@ -107,14 +107,14 @@ func TestNoisySearcherZeroSigmaMatchesExact(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(256, rng)
 	}
-	exact, err := hdc.NewSearcher(refs)
+	exact, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ns := NewNoisySearcher(exact, NoisyModel{}, 5)
 	q := hdc.RandomBinaryHV(256, rng)
-	got := ns.TopK(q, nil, 5)
-	want := exact.TopK(q, nil, 5)
+	got := ns.TopKRange(q, 0, len(refs), 5)
+	want := exact.TopKRange(q, 0, len(refs), 5)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("result %d: %+v vs %+v", i, got[i], want[i])
@@ -129,12 +129,12 @@ func TestNoisySearcherDegradesRanking(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(512, rng)
 	}
-	exact, _ := hdc.NewSearcher(refs)
+	exact, _ := hdc.NewShardedSearcher(refs, 0)
 	ns := NewNoisySearcher(exact, NoisyModel{SearchSigma: 200}, 7)
 	losses := 0
 	for trial := 0; trial < 30; trial++ {
 		q := refs[trial%50].Clone()
-		if top := ns.TopK(q, nil, 1); top[0].Index != trial%50 {
+		if top := ns.TopKRange(q, 0, len(refs), 1); top[0].Index != trial%50 {
 			losses++
 		}
 	}
@@ -146,10 +146,13 @@ func TestNoisySearcherDegradesRanking(t *testing.T) {
 func TestNoisySearcherKZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	refs := []hdc.BinaryHV{hdc.RandomBinaryHV(64, rng)}
-	exact, _ := hdc.NewSearcher(refs)
+	exact, _ := hdc.NewShardedSearcher(refs, 0)
 	ns := NewNoisySearcher(exact, NoisyModel{}, 9)
-	if got := ns.TopK(refs[0], nil, 0); got != nil {
+	if got := ns.TopKRange(refs[0], 0, 1, 0); got != nil {
 		t.Error("k=0 returned results")
+	}
+	if got := ns.BatchTopKRange([]hdc.BinaryHV{refs[0]}, []hdc.RowRange{{Lo: 0, Hi: 1}}, 0, nil); got[0] != nil {
+		t.Error("batch k=0 returned results")
 	}
 }
 
@@ -159,11 +162,20 @@ func TestNoisySearcherCandidateFilter(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(128, rng)
 	}
-	exact, _ := hdc.NewSearcher(refs)
+	exact, _ := hdc.NewShardedSearcher(refs, 0)
 	ns := NewNoisySearcher(exact, NoisyModel{}, 11)
-	top := ns.TopK(refs[0], []int{3, 4, 5, 77, -2}, 10)
-	if len(top) != 3 {
-		t.Errorf("candidate filter: got %d results", len(top))
+	// Rows outside [0, Len()) are clamped away, not scored.
+	top := ns.TopKRange(refs[0], 3, 77, 10)
+	if len(top) != 7 {
+		t.Errorf("range filter: got %d results, want 7", len(top))
+	}
+	for _, m := range top {
+		if m.Index < 3 || m.Index >= 10 {
+			t.Errorf("range filter: row %d outside [3, 10)", m.Index)
+		}
+	}
+	if got := ns.TopKRange(refs[0], -2, 0, 10); len(got) != 0 {
+		t.Errorf("range below row 0: got %v", got)
 	}
 }
 
@@ -177,7 +189,7 @@ func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(256, rng)
 	}
-	exact, err := hdc.NewSearcher(refs)
+	exact, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +209,8 @@ func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	}
 	queries := []hdc.BinaryHV{q, hdc.RandomBinaryHV(256, rng), q}
 	ranges := []hdc.RowRange{{Lo: 5, Hi: 40}, {Lo: 0, Hi: 60}, {Lo: 33, Hi: 33}}
-	got := ns.BatchTopKRange(queries, ranges, 4)
-	want := exact.BatchTopKRange(queries, ranges, 4)
+	got := ns.BatchTopKRange(queries, ranges, 4, nil)
+	want := exact.BatchTopKRange(queries, ranges, 4, nil)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("query %d: %d vs %d results", i, len(got[i]), len(want[i]))
@@ -220,7 +232,7 @@ func TestNoisySearcherBatchRangeDeterministic(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(512, rng)
 	}
-	exact, err := hdc.NewSearcher(refs)
+	exact, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +242,8 @@ func TestNoisySearcherBatchRangeDeterministic(t *testing.T) {
 		queries[i] = hdc.RandomBinaryHV(512, rng)
 		ranges[i] = hdc.RowRange{Lo: i, Hi: 40 + i*2}
 	}
-	a := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRange(queries, ranges, 3)
-	b := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRange(queries, ranges, 3)
+	a := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRange(queries, ranges, 3, nil)
+	b := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRange(queries, ranges, 3, nil)
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			t.Fatalf("query %d: %d vs %d results", i, len(a[i]), len(b[i]))

@@ -1,7 +1,7 @@
 // Package conformance is the single cross-path search oracle: one
 // table-driven suite asserting that every search path in the system —
-// candidate-gather TopK, streamed TopKRange, the block-major batch
-// paths, the K-tier cascade ladder with and without a shortlist, the
+// streamed TopKRange, the block-major batch path with and without a
+// stage trace, the K-tier cascade ladder with and without a shortlist, the
 // partitioned mmap-backed engine, and the request-coalescing serving
 // layer — returns bit-identical top-k lists over randomized
 // D/shard/k/ladder-depth/bit-layout/partition-count workloads with
@@ -39,8 +39,7 @@ type workload struct {
 	d         int
 	shard     int
 	k         int
-	prefilter int   // cascade tier-A words (0 = single tier)
-	tiers     []int // K-tier ladder prefix (mutually exclusive with prefilter)
+	tiers     []int // K-tier ladder prefix (nil = single tier)
 	entropy   bool  // pack the store under the entropy bit-layout permutation
 	shortlist int   // approximate completion budget (0 = exact)
 	nRefs     int
@@ -51,15 +50,15 @@ type workload struct {
 
 var workloads = []workload{
 	{name: "flat", d: 512, shard: 64, k: 5, nRefs: 600, nQueries: 40, parts: []int{1, 2, 3, 7}, seed: 1},
-	{name: "cascade-exact", d: 1024, shard: 100, k: 3, prefilter: 4, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
-	{name: "tail-mask", d: 1000, shard: 0, k: 7, prefilter: 3, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
+	{name: "cascade-exact", d: 1024, shard: 100, k: 3, tiers: []int{4}, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
+	{name: "tail-mask", d: 1000, shard: 0, k: 7, tiers: []int{3}, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
 	{name: "tiny-k-over", d: 256, shard: 16, k: 10, nRefs: 64, nQueries: 20, parts: []int{1, 7}, seed: 4},
-	{name: "shortlist", d: 512, shard: 32, k: 5, prefilter: 2, shortlist: 25, nRefs: 600, nQueries: 30, seed: 5},
-	// prefilter = words-1 leaves a one-word completion tier; prefilter
-	// = words must fall back to the single-tier layout with identical
-	// results (the degenerate-cascade contract).
-	{name: "cascade-wide-prefilter", d: 512, shard: 48, k: 4, prefilter: 7, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
-	{name: "cascade-degenerate-fallback", d: 512, shard: 64, k: 5, prefilter: 8, nRefs: 400, nQueries: 20, parts: []int{1, 2}, seed: 7},
+	{name: "shortlist", d: 512, shard: 32, k: 5, tiers: []int{2}, shortlist: 25, nRefs: 600, nQueries: 30, seed: 5},
+	// A tier 0 of words-1 leaves a one-word completion tier; a tier 0
+	// of all words is the single-tier layout with identical results
+	// (the degenerate-cascade contract).
+	{name: "cascade-wide-prefilter", d: 512, shard: 48, k: 4, tiers: []int{7}, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
+	{name: "cascade-degenerate-fallback", d: 512, shard: 64, k: 5, tiers: []int{8}, nRefs: 400, nQueries: 20, parts: []int{1, 2}, seed: 7},
 	// K-tier ladders and the entropy bit layout, separately and
 	// together: a K=3 ladder on the natural layout, K=4 on the entropy
 	// layout, entropy on the single-tier scan, and a deep ladder with a
@@ -130,7 +129,6 @@ func buildFixture(t *testing.T, w workload) *fixture {
 	p.Accel.NumChunks = max(w.d/32, 32)
 	p.ShardSize = w.shard
 	p.TopK = w.k
-	p.PrefilterWords = w.prefilter
 	p.Tiers = w.tiers
 	p.ShortlistPerQuery = w.shortlist
 
@@ -215,13 +213,13 @@ func (fx *fixture) oracleOver(hv hdc.BinaryHV, indices []int, k int) []hdc.Match
 // over an explicit valid-index set: rank rows by tier-A partial
 // distance (ties by ascending index), complete only the best M, then
 // rank those fully.
-func (fx *fixture) oracleShortlistOver(hv hdc.BinaryHV, indices []int, k, prefilterWords, m int) []hdc.Match {
+func (fx *fixture) oracleShortlistOver(hv hdc.BinaryHV, indices []int, k, tier0Words, m int) []hdc.Match {
 	type partial struct {
 		idx, da int
 	}
 	var ps []partial
 	for _, i := range indices {
-		ps = append(ps, partial{idx: i, da: hamming(hv.Words[:prefilterWords], fx.refs[i].Words[:prefilterWords])})
+		ps = append(ps, partial{idx: i, da: hamming(hv.Words[:tier0Words], fx.refs[i].Words[:tier0Words])})
 	}
 	sort.Slice(ps, func(a, b int) bool {
 		if ps[a].da != ps[b].da {
@@ -246,7 +244,7 @@ func (fx *fixture) oracleShortlistOver(hv hdc.BinaryHV, indices []int, k, prefil
 // oracleFor routes a valid-index set through the workload's mode.
 func (fx *fixture) oracleFor(w workload, hv hdc.BinaryHV, indices []int) []hdc.Match {
 	if w.shortlist > 0 {
-		return fx.oracleShortlistOver(hv, indices, w.k, w.prefilter, w.shortlist)
+		return fx.oracleShortlistOver(hv, indices, w.k, w.tiers[0], w.shortlist)
 	}
 	return fx.oracleOver(hv, indices, w.k)
 }
@@ -282,15 +280,6 @@ func assertMatches(t *testing.T, path string, qi int, got, want []hdc.Match) {
 	}
 }
 
-// candidateSlice materializes a query's row range for the gather paths.
-func candidateSlice(q core.PreparedQuery) []int {
-	out := []int{}
-	for i := q.Lo; i < q.Hi; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
 // stubEncoder satisfies core.Encoder for engines driven exclusively
 // through prepared queries.
 type stubEncoder struct{}
@@ -312,7 +301,7 @@ func TestConformance(t *testing.T) {
 				oracle[qi] = fx.oracleFor(w, q.HV, rangeIndices(q.Lo, q.Hi, n))
 			}
 
-			cc := hdc.CascadeConfig{Tiers: w.tiers, PrefilterWords: w.prefilter, Shortlist: w.shortlist}
+			cc := hdc.CascadeConfig{Tiers: w.tiers, Shortlist: w.shortlist}
 			searcher, err := hdc.NewShardedSearcherCascade(fx.lib.HVs, w.shard, cc)
 			if err != nil {
 				t.Fatal(err)
@@ -320,28 +309,22 @@ func TestConformance(t *testing.T) {
 
 			// Searcher-level paths.
 			for qi, q := range fx.queries {
-				assertMatches(t, "gather TopK", qi, searcher.TopK(q.HV, candidateSlice(q), w.k), oracle[qi])
 				assertMatches(t, "TopKRange", qi, searcher.TopKRange(q.HV, q.Lo, q.Hi, w.k), oracle[qi])
 			}
 			hvs := make([]hdc.BinaryHV, len(fx.queries))
 			ranges := make([]hdc.RowRange, len(fx.queries))
-			cands := make([][]int, len(fx.queries))
 			for qi, q := range fx.queries {
 				hvs[qi] = q.HV
 				ranges[qi] = hdc.RowRange{Lo: q.Lo, Hi: q.Hi}
-				cands[qi] = candidateSlice(q)
 			}
-			for qi, got := range searcher.BatchTopK(hvs, cands, w.k) {
-				assertMatches(t, "BatchTopK", qi, got, oracle[qi])
-			}
-			for qi, got := range searcher.BatchTopKRange(hvs, ranges, w.k) {
+			for qi, got := range searcher.BatchTopKRange(hvs, ranges, w.k, nil) {
 				assertMatches(t, "BatchTopKRange", qi, got, oracle[qi])
 			}
 			// Traced sweep parity: attaching a stage trace must not
 			// change a single result bit on any workload.
 			var searcherTrace obsv.Trace
-			for qi, got := range searcher.BatchTopKRangeTraced(hvs, ranges, w.k, &searcherTrace) {
-				assertMatches(t, "BatchTopKRangeTraced", qi, got, oracle[qi])
+			for qi, got := range searcher.BatchTopKRange(hvs, ranges, w.k, &searcherTrace) {
+				assertMatches(t, "traced BatchTopKRange", qi, got, oracle[qi])
 			}
 
 			// Natural-vs-entropy bit identity: de-permute the store and
@@ -373,9 +356,8 @@ func TestConformance(t *testing.T) {
 			}
 
 			// Edge geometry (coverage inherited from the deleted per-path
-			// parity tests): out-of-bounds and inverted ranges must clamp,
-			// and candidate slices carrying out-of-range entries must skip
-			// them — identically to the oracle over the valid rows.
+			// parity tests): out-of-bounds and inverted ranges must clamp
+			// identically to the oracle over the valid rows, traced or not.
 			edgeHV := fx.queries[0].HV
 			edgeRanges := []hdc.RowRange{
 				{Lo: -10, Hi: n + 10},
@@ -388,27 +370,11 @@ func TestConformance(t *testing.T) {
 				want := fx.oracleFor(w, edgeHV, rangeIndices(r.Lo, r.Hi, n))
 				assertMatches(t, fmt.Sprintf("TopKRange edge %d", ri), 0,
 					searcher.TopKRange(edgeHV, r.Lo, r.Hi, w.k), want)
-				got := searcher.BatchTopKRange([]hdc.BinaryHV{edgeHV}, []hdc.RowRange{r}, w.k)
+				got := searcher.BatchTopKRange([]hdc.BinaryHV{edgeHV}, []hdc.RowRange{r}, w.k, nil)
 				assertMatches(t, fmt.Sprintf("BatchTopKRange edge %d", ri), 0, got[0], want)
-			}
-			edgeCands := [][]int{
-				{-5, 0, n - 1, n, n + 3, 1}, // out-of-range entries skipped
-				{},                          // empty, non-nil (nil = all refs)
-				{3, 3, 3},                   // duplicates
-			}
-			for ci, cand := range edgeCands {
-				// The engine scores duplicate candidates repeatedly (they
-				// occupy multiple top-k slots); the oracle mirrors that by
-				// keeping duplicates in the valid set.
-				var valid []int
-				for _, i := range cand {
-					if i >= 0 && i < n {
-						valid = append(valid, i)
-					}
-				}
-				want := fx.oracleFor(w, edgeHV, valid)
-				assertMatches(t, fmt.Sprintf("gather TopK edge %d", ci), 0,
-					searcher.TopK(edgeHV, cand, w.k), want)
+				var edgeTrace obsv.Trace
+				got = searcher.BatchTopKRange([]hdc.BinaryHV{edgeHV}, []hdc.RowRange{r}, w.k, &edgeTrace)
+				assertMatches(t, fmt.Sprintf("traced BatchTopKRange edge %d", ri), 0, got[0], want)
 			}
 
 			// Engine-level paths over the same packed store.

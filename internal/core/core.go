@@ -26,42 +26,22 @@ type Encoder interface {
 	EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error)
 }
 
-// Searcher abstracts top-k Hamming similarity search over the encoded
-// library. Implementations: *hdc.Searcher (exact) and
-// *accel.NoisySearcher (characterized hardware noise).
-type Searcher interface {
-	// TopK returns the k best matches among candidates (nil = all).
-	TopK(q hdc.BinaryHV, candidates []int, k int) []hdc.Match
-}
-
-// BatchSearcher is the optional batch extension of Searcher.
-// SearchAllParallel routes encoded queries through BatchTopK when the
-// engine's searcher provides it, letting the sharded exact engine
-// amortize its per-worker scratch across the whole query set.
-type BatchSearcher interface {
-	Searcher
-	// BatchTopK runs TopK for every query; candidates[i] restricts
-	// query i (nil = all references).
-	BatchTopK(queries []hdc.BinaryHV, candidates [][]int, k int) [][]hdc.Match
-}
-
-// RangeSearcher is the optional contiguous-range extension of
-// Searcher. The library is mass-sorted, so every precursor window is
-// a contiguous row range [lo, hi); range-native searchers (the exact
-// sharded engine, the characterized-noise searcher) stream those rows
-// through the blocked kernel without materializing per-query
-// candidate index slices. Deterministic implementations must return
-// results bit-identical to TopK over the equivalent candidate slice;
-// noisy implementations must apply their error model to every
-// candidate in the range and stay deterministic per seed, but may
-// consume their noise stream differently than the slice path.
+// RangeSearcher is top-k Hamming similarity search over the encoded
+// library. The library is mass-sorted, so every precursor window is a
+// contiguous row range [lo, hi) that the searcher streams through its
+// blocked kernel. Implementations: *hdc.ShardedSearcher (exact) and
+// *accel.NoisySearcher (characterized hardware noise). Exact
+// implementations return the k best rows by similarity descending,
+// ties by ascending index; noisy implementations apply their error
+// model to every row in the range and stay deterministic per seed.
 type RangeSearcher interface {
-	Searcher
 	// TopKRange returns the k best matches among rows [lo, hi).
 	TopKRange(q hdc.BinaryHV, lo, hi, k int) []hdc.Match
 	// BatchTopKRange runs TopKRange for every query; ranges[i]
-	// restricts query i.
-	BatchTopKRange(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int) [][]hdc.Match
+	// restricts query i. A non-nil tr collects stage timings and row
+	// counters where the searcher records them; results never depend
+	// on it.
+	BatchTopKRange(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match
 }
 
 // SearchEngine is the query-serving surface shared by the single-store
@@ -109,13 +89,6 @@ type TracedSearchEngine interface {
 	SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool)
 }
 
-// tracedRangeSearcher is the range searcher's tracing extension
-// (implemented by hdc.ShardedSearcher); searchers without it — e.g.
-// the characterized-noise searcher — run untraced.
-type tracedRangeSearcher interface {
-	BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match
-}
-
 // Params configures an OMS engine.
 type Params struct {
 	// Accel is the HD/hardware operating point (dimension, precision,
@@ -147,10 +120,6 @@ type Params struct {
 	// cascade. Exact-mode results stay bit-identical to the
 	// single-tier kernel for every ladder.
 	Tiers []int
-	// PrefilterWords is the deprecated two-tier form of Tiers: a
-	// positive value means the ladder [PrefilterWords, rest]. Setting
-	// both Tiers and PrefilterWords is rejected.
-	PrefilterWords int
 	// BitLayout selects the build-time dimension layout:
 	// ""/"natural" stores encoded dimensions in encoder order;
 	// "entropy" permutes them so the most discriminative (highest
@@ -171,10 +140,8 @@ type Params struct {
 }
 
 // cascadeConfig maps the cascade knobs onto the searcher's config.
-// Tiers and the deprecated PrefilterWords both pass through; the
-// searcher rejects the combination.
 func (p Params) cascadeConfig() hdc.CascadeConfig {
-	return hdc.CascadeConfig{Tiers: p.Tiers, PrefilterWords: p.PrefilterWords, Shortlist: p.ShortlistPerQuery}
+	return hdc.CascadeConfig{Tiers: p.Tiers, Shortlist: p.ShortlistPerQuery}
 }
 
 // Bit-layout names accepted by Params.BitLayout.
@@ -219,9 +186,8 @@ type LibraryEntry struct {
 // Library is an encoded, mass-ordered reference library: entries are
 // stored sorted by ascending precursor mass, so entry index == mass
 // rank, every precursor window selects a contiguous index range
-// [lo, hi) (CandidateRange), and a searcher packed over HVs can
-// stream any candidate set as a contiguous row range instead of
-// gathering a materialized index slice.
+// [lo, hi) (CandidateRange), and a searcher packed over HVs streams
+// any candidate set as a contiguous row range.
 type Library struct {
 	// Entries holds metadata parallel to the encoded hypervectors,
 	// sorted by ascending precursor mass.
@@ -425,27 +391,6 @@ func (l *Library) CandidateRange(queryMass float64, w units.MassWindow) (lo, hi 
 	return lo, hi
 }
 
-// Candidates materializes CandidateRange as an ascending index slice
-// (nil when empty). The engine's search path uses the range form
-// directly; this slice API is retained for external callers and
-// searchers without range support.
-func (l *Library) Candidates(queryMass float64, w units.MassWindow) []int {
-	return indexSlice(l.CandidateRange(queryMass, w))
-}
-
-// indexSlice expands [lo, hi) into an ascending index slice, nil when
-// the range is empty.
-func indexSlice(lo, hi int) []int {
-	if lo >= hi {
-		return nil
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
 // InjectStorageErrors flips every stored reference bit with the given
 // probability, modelling hypervector storage errors (Figs. 7/11). The
 // library is modified in place.
@@ -463,10 +408,7 @@ type Engine struct {
 	params   Params
 	lib      *Library
 	enc      Encoder
-	searcher Searcher
-	// ranger is the searcher's range-native view, nil when the
-	// searcher only supports candidate index slices.
-	ranger RangeSearcher
+	searcher RangeSearcher
 	// normD is the score normalizer: the library's actual hypervector
 	// dimension, validated against params.Accel.D at construction.
 	normD float64
@@ -476,7 +418,7 @@ type Engine struct {
 // configured dimension Params.Accel.D must match the library's actual
 // hypervector dimension: similarity scores are normalized by it, so a
 // silent mismatch would mis-scale every PSM score.
-func NewEngine(p Params, lib *Library, enc Encoder, s Searcher) (*Engine, error) {
+func NewEngine(p Params, lib *Library, enc Encoder, s RangeSearcher) (*Engine, error) {
 	if lib == nil || lib.Len() == 0 {
 		return nil, fmt.Errorf("core: empty library")
 	}
@@ -502,9 +444,7 @@ func NewEngine(p Params, lib *Library, enc Encoder, s Searcher) (*Engine, error)
 	if p.TopK < 1 {
 		p.TopK = 1
 	}
-	e := &Engine{params: p, lib: lib, enc: enc, searcher: s, normD: float64(d)}
-	e.ranger, _ = s.(RangeSearcher)
-	return e, nil
+	return &Engine{params: p, lib: lib, enc: enc, searcher: s, normD: float64(d)}, nil
 }
 
 // Library returns the engine's library.
@@ -607,9 +547,9 @@ func (e *Engine) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 }
 
 // SearchPrepared scores prepared queries through one batch top-k
-// sweep: range-native searchers sweep each cache-resident row block
-// with every query whose window covers it, so the packed reference
-// store streams from memory once per batch instead of once per query.
+// sweep: the searcher sweeps each cache-resident row block with every
+// query whose window covers it, so the packed reference store streams
+// from memory once per batch instead of once per query.
 // It returns one slot per input: ok[i] is false when query i's range
 // produced no match. With a deterministic searcher (the exact sharded
 // engine), per-query results are bit-identical to SearchOne and
@@ -623,7 +563,7 @@ func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
 
 // SearchPreparedTraced is SearchPrepared with per-stage tracing (see
 // TracedSearchEngine): a non-nil tr collects per-tier and merge
-// timings and row counters from the range-native sweep. Timing never
+// timings and row counters from the sweep. Timing never
 // alters control flow, so results are bit-identical to the untraced
 // call.
 func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
@@ -632,40 +572,13 @@ func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr
 	if len(qs) == 0 {
 		return psms, oks
 	}
-	var tops [][]hdc.Match
-	switch {
-	case e.ranger != nil:
-		hvs := make([]hdc.BinaryHV, len(qs))
-		ranges := make([]hdc.RowRange, len(qs))
-		for i, pq := range qs {
-			hvs[i] = pq.HV
-			ranges[i] = hdc.RowRange{Lo: pq.Lo, Hi: pq.Hi}
-		}
-		if ts, ok := e.ranger.(tracedRangeSearcher); ok {
-			tops = ts.BatchTopKRangeTraced(hvs, ranges, e.params.TopK, tr)
-		} else {
-			tops = e.ranger.BatchTopKRange(hvs, ranges, e.params.TopK)
-		}
-	default:
-		if bs, ok := e.searcher.(BatchSearcher); ok {
-			hvs := make([]hdc.BinaryHV, len(qs))
-			cands := make([][]int, len(qs))
-			for i, pq := range qs {
-				hvs[i] = pq.HV
-				if cands[i] = indexSlice(pq.Lo, pq.Hi); cands[i] == nil {
-					// An empty range must stay restricted: nil would
-					// mean "all references" to BatchTopK.
-					cands[i] = []int{}
-				}
-			}
-			tops = bs.BatchTopK(hvs, cands, e.params.TopK)
-		} else {
-			tops = make([][]hdc.Match, len(qs))
-			for i, pq := range qs {
-				tops[i] = e.topKRange(pq.HV, pq.Lo, pq.Hi)
-			}
-		}
+	hvs := make([]hdc.BinaryHV, len(qs))
+	ranges := make([]hdc.RowRange, len(qs))
+	for i, pq := range qs {
+		hvs[i] = pq.HV
+		ranges[i] = hdc.RowRange{Lo: pq.Lo, Hi: pq.Hi}
 	}
+	tops := e.searcher.BatchTopKRange(hvs, ranges, e.params.TopK, tr)
 	for i, top := range tops {
 		if len(top) == 0 {
 			continue
@@ -679,8 +592,8 @@ func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr
 // TopKPrepared returns the full top-k match list of one prepared
 // query — the list SearchOne's PSM is the head of, with indices in
 // mass-rank row space. It is the single-engine leg of the cross-path
-// conformance contract: every search path (gather, range, batch,
-// cascade, partitioned, served) must reproduce this list bit for bit.
+// conformance contract: every search path (range, batch, cascade,
+// partitioned, served) must reproduce this list bit for bit.
 func (e *Engine) TopKPrepared(pq PreparedQuery) []hdc.Match {
 	return e.topKRange(pq.HV, pq.Lo, pq.Hi)
 }
@@ -700,19 +613,13 @@ func (p Params) queryWindow(queryMass float64) units.MassWindow {
 	return units.StandardWindow(queryMass, p.StandardTol)
 }
 
-// topKRange searches the candidate row range [lo, hi): range-native
-// searchers stream it through the blocked kernel; others receive the
-// materialized index slice. An empty range yields no matches (the
-// gather fallback must not pass a nil slice to TopK, which would mean
-// "all references").
+// topKRange searches the candidate row range [lo, hi); an empty range
+// yields no matches.
 func (e *Engine) topKRange(hv hdc.BinaryHV, lo, hi int) []hdc.Match {
 	if lo >= hi {
 		return nil
 	}
-	if e.ranger != nil {
-		return e.ranger.TopKRange(hv, lo, hi, e.params.TopK)
-	}
-	return e.searcher.TopK(hv, indexSlice(lo, hi), e.params.TopK)
+	return e.searcher.TopKRange(hv, lo, hi, e.params.TopK)
 }
 
 // SearchAll runs every query and returns the PSM list (one best match
@@ -758,7 +665,7 @@ func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, 
 	if err != nil {
 		return nil, nil, err
 	}
-	searcher, err := hdc.NewSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+	searcher, err := hdc.NewShardedSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -792,7 +699,7 @@ func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, e
 	if lib == nil || lib.Len() == 0 {
 		return nil, nil, fmt.Errorf("core: empty library")
 	}
-	searcher, err := hdc.NewSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+	searcher, err := hdc.NewShardedSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -877,7 +784,7 @@ func BuildNoisy(p Params, library []*spectrum.Spectrum, spec NoiseSpec) (*Engine
 	// The noisy searcher bulk-scores full similarities, so the cascade
 	// layout is transparent to it; the knobs are threaded anyway so
 	// the packed layout matches the exact engine's.
-	exact, err := hdc.NewSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+	exact, err := hdc.NewShardedSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -145,9 +145,6 @@ func TestBatchPathShardSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := base.searcher.(BatchSearcher); !ok {
-		t.Fatal("exact searcher does not implement BatchSearcher")
-	}
 	want, err := base.SearchAllParallel(ds.Queries)
 	if err != nil {
 		t.Fatal(err)

@@ -582,12 +582,11 @@ func (pe *PartitionedEngine) batchTopKPrepared(qs []PreparedQuery, tr *obsv.Trac
 			defer wg.Done()
 			b := &batches[i]
 			kPart := pe.parts[i].kEff(k)
+			t0 := time.Now()
+			b.tops = pe.parts[i].searcher.BatchTopKRange(b.hvs, b.ranges, kPart, tr)
 			if tr == nil {
-				b.tops = pe.parts[i].searcher.BatchTopKRange(b.hvs, b.ranges, kPart)
 				return
 			}
-			t0 := time.Now()
-			b.tops = pe.parts[i].searcher.BatchTopKRangeTraced(b.hvs, b.ranges, kPart, tr)
 			rows := 0
 			for _, r := range b.ranges {
 				rows += r.Len()

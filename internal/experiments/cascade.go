@@ -58,12 +58,12 @@ func CascadeSweep(opts Options) ([]CascadeRow, error) {
 		}{psm.Peptide, psm.Score}
 	}
 
-	prefilter := max(1, hdc.WordsPerHV(p.Accel.D)/8) // 1/8 of the words prefiltered
+	tier0 := max(1, hdc.WordsPerHV(p.Accel.D)/8) // 1/8 of the words in tier 0
 	shortlists := []int{0, 1, 2, 4, 8, 16, 32, 64}
 	rows := make([]CascadeRow, 0, len(shortlists))
 	for _, m := range shortlists {
 		cp := p
-		cp.PrefilterWords = prefilter
+		cp.Tiers = []int{tier0}
 		cp.ShortlistPerQuery = m
 		engine, _, err := core.BuildExact(cp, ds.Library)
 		if err != nil {

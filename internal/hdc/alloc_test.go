@@ -40,7 +40,7 @@ func allocSearcher(t *testing.T, d, n int, cc CascadeConfig) (*ShardedSearcher, 
 }
 
 // allocLadders is the layout matrix both allocation gates run over:
-// the single-tier store, the legacy two-tier alias, and deeper
+// the single-tier store, the classic two-tier cascade, and deeper
 // K-tier ladders (the descend-while-bounded sweep must stay
 // allocation-free at any depth, not just the K=2 shape it grew out
 // of). d=1024 → 16 packed words.
@@ -49,7 +49,7 @@ var allocLadders = []struct {
 	cc   CascadeConfig
 }{
 	{"single-tier", CascadeConfig{}},
-	{"two-tier", CascadeConfig{PrefilterWords: 4}},
+	{"two-tier", CascadeConfig{Tiers: []int{4}}},
 	{"three-tier", CascadeConfig{Tiers: []int{2, 4, 10}}},
 	{"four-tier", CascadeConfig{Tiers: []int{1, 3, 4, 8}}},
 }

@@ -54,11 +54,11 @@ func TestCascadeExactParityParallel(t *testing.T) {
 	for j := 0; j < k; j++ {
 		refs[n/2+j*701] = nearDup(q, 0.02, rng)
 	}
-	base, err := NewSearcherSharded(refs, 1024)
+	base, err := NewShardedSearcher(refs, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := NewSearcherCascade(refs, 1024, CascadeConfig{PrefilterWords: 2})
+	casc, err := NewShardedSearcherCascade(refs, 1024, CascadeConfig{Tiers: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 	d, n, nq, k := 512, 500, 6, 3
 	words := WordsPerHV(d)
 	refs, queries := cascadeFixture(t, d, n, nq, k, 7)
-	base, err := NewSearcherSharded(refs, 64)
+	base, err := NewShardedSearcher(refs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 		ranges[i] = RowRange{Lo: max(0, lo-11), Hi: min(n, lo+n/2)}
 	}
 	for _, shortlist := range []int{k, 16, n, 2 * n} {
-		casc, err := NewSearcherCascade(refs, 64, CascadeConfig{PrefilterWords: words / 4, Shortlist: shortlist})
+		casc, err := NewShardedSearcherCascade(refs, 64, CascadeConfig{Tiers: []int{words / 4}, Shortlist: shortlist})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := casc.BatchTopKRange(queries, ranges, k)
+		batch := casc.BatchTopKRange(queries, ranges, k, nil)
 		for qi, q := range queries {
 			single := casc.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
 			if !matchesEqual(single, batch[qi]) {
@@ -129,7 +129,7 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 func TestCascadeStatsCounters(t *testing.T) {
 	d, n, nq, k := 512, 800, 4, 3
 	refs, queries := cascadeFixture(t, d, n, nq, k, 13)
-	casc, err := NewSearcherCascade(refs, 128, CascadeConfig{PrefilterWords: 1})
+	casc, err := NewShardedSearcherCascade(refs, 128, CascadeConfig{Tiers: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCascadeStatsCounters(t *testing.T) {
 	for i := range ranges {
 		ranges[i] = RowRange{Lo: 0, Hi: n}
 	}
-	casc.BatchTopKRange(queries, ranges, k)
+	casc.BatchTopKRange(queries, ranges, k, nil)
 	cs, ok := casc.CascadeStats()
 	if !ok {
 		t.Fatal("cascade searcher reports no cascade stats")
@@ -154,7 +154,7 @@ func TestCascadeStatsCounters(t *testing.T) {
 	if cs.PruneRate() <= 0 {
 		t.Fatalf("prune rate %.3f on a planted-cluster workload, want > 0 (stats %+v)", cs.PruneRate(), cs)
 	}
-	if base, _ := NewSearcherSharded(refs, 128); base != nil {
+	if base, _ := NewShardedSearcher(refs, 128); base != nil {
 		if _, ok := base.CascadeStats(); ok {
 			t.Fatal("single-tier searcher claims cascade stats")
 		}
@@ -165,14 +165,11 @@ func TestCascadeStatsCounters(t *testing.T) {
 // malformed cascade configs and degenerate reference sets.
 func TestCascadeConfigValidation(t *testing.T) {
 	refs := randomRefs(128, 10, 3)
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{PrefilterWords: 1, Shortlist: -2}); err == nil {
+	if _, err := NewShardedSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{1}, Shortlist: -2}); err == nil {
 		t.Error("negative shortlist accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Shortlist: 5}); err == nil {
+	if _, err := NewShardedSearcherCascade(refs, 0, CascadeConfig{Shortlist: 5}); err == nil {
 		t.Error("shortlist without a two-tier layout accepted")
-	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{PrefilterWords: WordsPerHV(128), Shortlist: 5}); err == nil {
-		t.Error("shortlist with prefilter covering every word accepted")
 	}
 	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0); err == nil {
 		t.Error("zero-dimension reference accepted")
@@ -181,30 +178,27 @@ func TestCascadeConfigValidation(t *testing.T) {
 		t.Error("negative-dimension reference accepted")
 	}
 	words := WordsPerHV(128)
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{1, 0, 1}}); err == nil {
+	if _, err := NewShardedSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{1, 0, 1}}); err == nil {
 		t.Error("non-positive tier width accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{words, 1}}); err == nil {
+	if _, err := NewShardedSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{words, 1}}); err == nil {
 		t.Error("tier ladder wider than the row accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{1, 1}, PrefilterWords: 1}); err == nil {
-		t.Error("Tiers together with PrefilterWords accepted")
-	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{words}, Shortlist: 3}); err == nil {
+	if _, err := NewShardedSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{words}, Shortlist: 3}); err == nil {
 		t.Error("shortlist on a single-tier ladder accepted")
 	}
 }
 
 // TestCascadeLadderExactParity pins the tentpole exactness contract:
 // every K-tier ladder — including unbalanced ones — returns results
-// bit-identical to the single-tier scan, on gather, range and batch
-// paths, and its per-tier counters are monotonically non-increasing
+// bit-identical to the single-tier scan and the naive reference, on
+// range and batch paths, and its per-tier counters are monotonically non-increasing
 // down the ladder.
 func TestCascadeLadderExactParity(t *testing.T) {
 	d, n, nq, k := 512, 900, 5, 4
 	words := WordsPerHV(d) // 8
 	refs, queries := cascadeFixture(t, d, n, nq, k, 41)
-	base, err := NewSearcherSharded(refs, 128)
+	base, err := NewShardedSearcher(refs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,23 +215,22 @@ func TestCascadeLadderExactParity(t *testing.T) {
 		{1, 3},               // K=2 with an implicit remainder tier
 	}
 	for _, tiers := range ladders {
-		casc, err := NewSearcherCascade(refs, 128, CascadeConfig{Tiers: append([]int(nil), tiers...)})
+		casc, err := NewShardedSearcherCascade(refs, 128, CascadeConfig{Tiers: append([]int(nil), tiers...)})
 		if err != nil {
 			t.Fatalf("tiers %v: %v", tiers, err)
 		}
-		batch := casc.BatchTopKRange(queries, ranges, k)
+		batch := casc.BatchTopKRange(queries, ranges, k, nil)
 		for qi, q := range queries {
 			want := base.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
+			if oracle := naiveTopK(refs, d, q, indexRange(ranges[qi].Lo, ranges[qi].Hi), k); !matchesEqual(want, oracle) {
+				t.Fatalf("query %d: single-tier scan diverged from the naive reference\ngot  %v\nwant %v", qi, want, oracle)
+			}
 			if !matchesEqual(batch[qi], want) {
 				t.Fatalf("tiers %v query %d: batch diverged\ngot  %v\nwant %v", tiers, qi, batch[qi], want)
 			}
 			single := casc.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
 			if !matchesEqual(single, want) {
 				t.Fatalf("tiers %v query %d: range diverged\ngot  %v\nwant %v", tiers, qi, single, want)
-			}
-			gather := casc.TopK(q, indexRange(ranges[qi].Lo, ranges[qi].Hi), k)
-			if !matchesEqual(gather, want) {
-				t.Fatalf("tiers %v query %d: gather diverged\ngot  %v\nwant %v", tiers, qi, gather, want)
 			}
 		}
 		cs, ok := casc.CascadeStats()
@@ -264,20 +257,11 @@ func TestCascadeLadderExactParity(t *testing.T) {
 	}
 }
 
-// indexRange expands [lo, hi) into an index slice for the gather path.
-func indexRange(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
 // TestCascadePackedRowAssembly pins that PackedRow reassembles the
 // tiered store bit-identically to the source hypervectors.
 func TestCascadePackedRowAssembly(t *testing.T) {
 	refs := randomRefs(320, 41, 19) // 5 words: odd split exercises both tiers
-	casc, err := NewShardedSearcherCascade(refs, 16, CascadeConfig{PrefilterWords: 2})
+	casc, err := NewShardedSearcherCascade(refs, 16, CascadeConfig{Tiers: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}

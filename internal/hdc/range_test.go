@@ -5,34 +5,15 @@ import (
 	"testing"
 )
 
-// gatherRange materializes [lo, hi) (clamped) as a candidate slice —
-// the retained gather path the range kernel must match bit for bit.
-func gatherRange(lo, hi, n int) []int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	if lo >= hi {
-		return []int{} // non-nil: nil means "all references" to TopK
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
 // TestTopKRangeParallelPath exercises the multi-shard fan-out branch
-// (range length above parallelMinRefs) against the gather path.
+// (range length above parallelMinRefs) against the naive scan.
 func TestTopKRangeParallelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large reference set")
 	}
 	d, n := 64, parallelMinRefs+1500
 	refs := randomRefs(d, n, 17)
-	s, err := NewSearcherSharded(refs, 512)
+	s, err := NewShardedSearcher(refs, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,26 +21,26 @@ func TestTopKRangeParallelPath(t *testing.T) {
 	q := RandomBinaryHV(d, rng)
 	lo, hi := 100, 100+parallelMinRefs+700
 	got := s.TopKRange(q, lo, hi, 7)
-	want := s.TopK(q, gatherRange(lo, hi, n), 7)
+	want := naiveTopK(refs, d, q, indexRange(lo, hi), 7)
 	if !matchesEqual(got, want) {
 		t.Fatalf("parallel range path diverges:\ngot  %v\nwant %v", got, want)
 	}
 }
 
 // TestSimilaritiesRangeIntoParity checks the bulk range scorer
-// against per-row Similarity, including buffer reuse and clamping.
+// against the scalar similarity, including buffer reuse and clamping.
 func TestSimilaritiesRangeIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d, n := 130, 300
 	refs := randomRefs(d, n, 22)
-	s, err := NewSearcherSharded(refs, 64)
+	s, err := NewShardedSearcher(refs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := RandomBinaryHV(d, rng)
 	var buf []int
 	for _, r := range [][2]int{{0, n}, {10, 200}, {-5, 40}, {250, n + 90}, {60, 60}, {120, 10}} {
-		buf = s.Engine().SimilaritiesRangeInto(q, r[0], r[1], buf)
+		buf = s.SimilaritiesRangeInto(q, r[0], r[1], buf)
 		lo, hi := r[0], r[1]
 		if lo < 0 {
 			lo = 0
@@ -75,7 +56,7 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 			t.Fatalf("range %v: len = %d, want %d", r, len(buf), wantLen)
 		}
 		for j := range buf {
-			if want := s.Similarity(q, lo+j); buf[j] != want {
+			if want := HammingSimilarity(q, refs[lo+j]); buf[j] != want {
 				t.Fatalf("range %v row %d: sim = %d, want %d", r, lo+j, buf[j], want)
 			}
 		}
@@ -87,7 +68,7 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 // and an all-empty batch returns empty (non-nil) match lists.
 func TestBatchTopKRangeShapeChecks(t *testing.T) {
 	refs := randomRefs(64, 50, 31)
-	s, err := NewSearcherSharded(refs, 16)
+	s, err := NewShardedSearcher(refs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +81,15 @@ func TestBatchTopKRangeShapeChecks(t *testing.T) {
 				t.Error("mismatched ranges length did not panic")
 			}
 		}()
-		s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 10}}, 3)
+		s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 10}}, 3, nil)
 	}()
 
-	out := s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: 0, Hi: 10}}, 0)
+	out := s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: 0, Hi: 10}}, 0, nil)
 	if out[0] != nil {
 		t.Errorf("k=0: got %v, want nil", out[0])
 	}
 
-	out = s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 5, Hi: 5}, {Lo: 40, Hi: 20}}, 3)
+	out = s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 5, Hi: 5}, {Lo: 40, Hi: 20}}, 3, nil)
 	for i, matches := range out {
 		if matches == nil || len(matches) != 0 {
 			t.Errorf("empty range %d: got %v, want empty non-nil", i, matches)
@@ -116,14 +97,14 @@ func TestBatchTopKRangeShapeChecks(t *testing.T) {
 	}
 }
 
-// TestSimilarityBoundsContract asserts Similarity panics with a
-// descriptive message on out-of-range indices instead of a raw slice
-// bounds failure, and that TopK skips out-of-range and handles
-// duplicate candidates exactly like the naive reference scan.
+// TestSimilarityBoundsContract asserts the per-row accessor PackedRow
+// panics with a descriptive message on out-of-range indices instead of
+// a raw slice bounds failure, and that range scans clamp bounds past
+// either end exactly like the naive reference scan over the valid rows.
 func TestSimilarityBoundsContract(t *testing.T) {
 	d, n := 96, 40
 	refs := randomRefs(d, n, 41)
-	s, err := NewSearcherSharded(refs, 8)
+	s, err := NewShardedSearcher(refs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,25 +116,23 @@ func TestSimilarityBoundsContract(t *testing.T) {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Errorf("Similarity(%d) did not panic", bad)
+					t.Errorf("PackedRow(%d) did not panic", bad)
 					return
 				}
 				if msg, ok := r.(string); !ok || msg == "" {
-					t.Errorf("Similarity(%d) panic = %v, want descriptive message", bad, r)
+					t.Errorf("PackedRow(%d) panic = %v, want descriptive message", bad, r)
 				}
 			}()
-			s.Similarity(q, bad)
+			s.PackedRow(bad)
 		}()
 	}
 
-	// Duplicates and out-of-range entries in one candidate list: TopK
-	// must match the naive scan (duplicates scored twice, bad indices
-	// skipped), not panic.
-	cand := []int{3, 3, 3, -1, n, 7, 7, 0, n - 1, n - 1}
-	got := s.TopK(q, cand, 6)
-	want := naiveTopK(refs, d, q, cand, 6)
-	if !matchesEqual(got, want) {
-		t.Fatalf("duplicate/out-of-range candidates:\ngot  %v\nwant %v", got, want)
+	for _, r := range []RowRange{{Lo: -1, Hi: 9}, {Lo: n - 3, Hi: n + 100}, {Lo: -7, Hi: n + 7}} {
+		got := s.TopKRange(q, r.Lo, r.Hi, 6)
+		want := naiveTopK(refs, d, q, indexRange(max(r.Lo, 0), min(r.Hi, n)), 6)
+		if !matchesEqual(got, want) {
+			t.Fatalf("range %+v:\ngot  %v\nwant %v", r, got, want)
+		}
 	}
 }
 

@@ -38,8 +38,8 @@ func blockRows(words int) int {
 	return r
 }
 
-// parallelMinRefs is the smallest full-scan reference count for which
-// a single-query TopK fans shards out across goroutines. Below it the
+// parallelMinRefs is the smallest range length for which a
+// single-query TopKRange fans shards out across goroutines. Below it the
 // per-goroutine overhead exceeds the scan cost.
 const parallelMinRefs = 1 << 13
 
@@ -52,15 +52,9 @@ type CascadeConfig struct {
 	// tier t, descended in order. Every entry must be positive and the
 	// widths must sum to at most the per-row word count; a sum short of
 	// the row implicitly appends one remainder tier. A single tier
-	// covering the whole row is the single-tier layout. Empty defers to
-	// PrefilterWords (setting both is an error).
+	// covering the whole row is the single-tier layout, and so is an
+	// empty ladder.
 	Tiers []int
-	// PrefilterWords is the deprecated two-tier knob, kept as a
-	// compatibility alias: a value in (0, words) is equivalent to
-	// Tiers = [PrefilterWords, words-PrefilterWords]. <= 0 disables the
-	// cascade, and a value >= the full per-row word count leaves
-	// nothing to prune, so it too falls back to the single-tier layout.
-	PrefilterWords int
 	// Shortlist switches cascade scans from the exact pruning bound to
 	// approximate mode: per query, only the Shortlist rows with the
 	// best tier-0 partial distance (ties by ascending index) are
@@ -74,30 +68,19 @@ type CascadeConfig struct {
 // widths over a row of `words` packed words (len >= 1; len == 1 is
 // the single-tier layout).
 func normalizeTiers(cc CascadeConfig, words int) ([]int, error) {
-	if cc.PrefilterWords > 0 && len(cc.Tiers) > 0 {
-		return nil, fmt.Errorf("hdc: CascadeConfig sets both Tiers and the deprecated PrefilterWords alias")
+	sum := 0
+	for t, w := range cc.Tiers {
+		if w <= 0 {
+			return nil, fmt.Errorf("hdc: cascade tier %d has non-positive width %d words", t, w)
+		}
+		sum += w
 	}
-	var tiers []int
-	switch {
-	case len(cc.Tiers) > 0:
-		sum := 0
-		for t, w := range cc.Tiers {
-			if w <= 0 {
-				return nil, fmt.Errorf("hdc: cascade tier %d has non-positive width %d words", t, w)
-			}
-			sum += w
-		}
-		if sum > words {
-			return nil, fmt.Errorf("hdc: cascade tier widths sum to %d words, row has only %d", sum, words)
-		}
-		tiers = append(tiers, cc.Tiers...)
-		if sum < words {
-			tiers = append(tiers, words-sum)
-		}
-	case cc.PrefilterWords > 0 && cc.PrefilterWords < words:
-		tiers = []int{cc.PrefilterWords, words - cc.PrefilterWords}
-	default:
-		tiers = []int{words}
+	if sum > words {
+		return nil, fmt.Errorf("hdc: cascade tier widths sum to %d words, row has only %d", sum, words)
+	}
+	tiers := append([]int(nil), cc.Tiers...)
+	if sum < words {
+		tiers = append(tiers, words-sum)
 	}
 	if cc.Shortlist < 0 {
 		return nil, fmt.Errorf("hdc: negative cascade shortlist %d", cc.Shortlist)
@@ -192,7 +175,7 @@ func (c CascadeStats) Sub(prev CascadeStats) CascadeStats {
 // contiguous words, scored with a blocked XOR+popcount kernel into
 // reusable per-worker similarity buffers, and shard-level top-k lists
 // are merged deterministically (similarity descending, index
-// ascending — the same tie-break as the scalar Searcher).
+// ascending).
 //
 // With a CascadeConfig the packed store is word-sliced into K tiers
 // per shard: tier t holds words [off[t], off[t]+tw[t]) of every row,
@@ -408,30 +391,8 @@ func (s *ShardedSearcher) Len() int { return s.n }
 // NumShards returns the shard count.
 func (s *ShardedSearcher) NumShards() int { return len(s.shards) }
 
-// ShardSize returns the configured rows-per-shard.
-func (s *ShardedSearcher) ShardSize() int { return s.shardSize }
-
-// TierWords returns a copy of the cascade ladder (words per tier, in
-// descent order). A single-element ladder is the single-tier layout.
-func (s *ShardedSearcher) TierWords() []int {
-	return append([]int(nil), s.tw...)
-}
-
 // NumTiers returns the ladder depth (1 = single-tier).
 func (s *ShardedSearcher) NumTiers() int { return len(s.tw) }
-
-// PrefilterWords returns the tier-0 word count of the cascade layout,
-// 0 when the store is single-tier (the historical two-tier accessor).
-func (s *ShardedSearcher) PrefilterWords() int {
-	if !s.multiTier() {
-		return 0
-	}
-	return s.tw[0]
-}
-
-// ShortlistPerQuery returns the approximate-mode completion budget
-// (0 = exact pruning bound).
-func (s *ShardedSearcher) ShortlistPerQuery() int { return s.shortlist }
 
 // CascadeStats returns a snapshot of the per-tier row counters; ok is
 // false when the store is single-tier (no cascade runs, counters stay
@@ -462,33 +423,18 @@ func (s *ShardedSearcher) addTierRows(counts []uint64) {
 // the cascade counters).
 func (s *ShardedSearcher) RowsSwept() uint64 { return s.swept.Load() }
 
-// checkQuery panics on a dimensionality mismatch, matching the scalar
-// Searcher's contract.
+// checkQuery panics on a dimensionality mismatch.
 func (s *ShardedSearcher) checkQuery(q BinaryHV) {
 	if q.D != s.d {
 		panic(fmt.Sprintf("hdc: query D=%d, searcher D=%d", q.D, s.d))
 	}
 }
 
-// Similarity returns the Hamming similarity between the query and
-// reference i, read from the packed store. It panics with a
-// descriptive message when i is outside [0, Len()) — the same bounds
-// contract TopK applies (which silently skips out-of-range candidate
-// indices rather than scoring them).
-func (s *ShardedSearcher) Similarity(q BinaryHV, i int) int {
-	s.checkQuery(q)
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
-	}
-	sh := &s.shards[i/s.shardSize]
-	return s.simRow(q.Words, sh, i-sh.start)
-}
-
 // PackedRow returns the packed words of reference row i exactly as
 // stored in the engine, reassembled from the tiered store into one
 // freshly allocated full-width row (the tiers are not contiguous, so
 // a live view is no longer possible). It panics on an out-of-range
-// index, matching Similarity's bounds contract. The persistent
+// index. The persistent
 // library index uses it to verify that a loaded store is bit-identical
 // to the freshly packed one.
 func (s *ShardedSearcher) PackedRow(i int) []uint64 {
@@ -502,18 +448,6 @@ func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 		copy(out[s.off[t]:s.off[t]+s.tw[t]], s.tierRow(sh, t, row))
 	}
 	return out
-}
-
-// simRow scores one packed row against the query words across every
-// tier.
-//
-//oms:hotpath
-func (s *ShardedSearcher) simRow(qw []uint64, sh *shard, row int) int {
-	dist := 0
-	for t := range s.tw {
-		dist += distRow(s.qtier(qw, t), s.tierRow(sh, t, row))
-	}
-	return s.d - dist
 }
 
 // scoreRows is the XOR+popcount kernel: it scores rows [0, rows) of a
@@ -550,7 +484,7 @@ func scoreRows(qw, packed []uint64, words, rows, d int, sims []int) {
 
 // distRow is the single-row XOR+popcount distance over one packed
 // word segment (same unroll as scoreRows). It is the tier-descent
-// completion kernel and the per-row gather kernel.
+// completion kernel.
 //
 //oms:hotpath
 func distRow(qw, row []uint64) int {
@@ -616,26 +550,6 @@ func (s *ShardedSearcher) scoreBlockSims(qw []uint64, sh *shard, r0, rows int, s
 	for r := 0; r < rows; r++ {
 		sims[r] = s.d - sims[r]
 	}
-}
-
-// SimilaritiesInto scores the query against every reference, writing
-// HammingSimilarity(q, i) to dst[i] through the blocked kernel. dst is
-// grown as needed; the (possibly reallocated) slice of length Len()
-// is returned, so callers can reuse one buffer across queries.
-func (s *ShardedSearcher) SimilaritiesInto(q BinaryHV, dst []int) []int {
-	s.checkQuery(q)
-	if cap(dst) < s.n {
-		dst = make([]int, s.n)
-	}
-	dst = dst[:s.n]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for b0 := 0; b0 < sh.rows; b0 += s.block {
-			rows := min(s.block, sh.rows-b0)
-			s.scoreBlockSims(q.Words, sh, b0, rows, dst[sh.start+b0:])
-		}
-	}
-	return dst
 }
 
 // RowRange is a half-open contiguous interval [Lo, Hi) of packed
@@ -830,187 +744,11 @@ func (s *ShardedSearcher) completeRow(qw []uint64, pm Match) Match {
 	return Match{Index: pm.Index, Similarity: s.d - full}
 }
 
-// TopK returns the k most similar references among the candidate
-// index set (nil = all references), ordered by descending similarity
-// with ties broken by ascending index — bit-identical to the scalar
-// Searcher. Full scans over large reference sets fan the shards out
-// across CPU cores and merge the shard-level top-k lists.
-func (s *ShardedSearcher) TopK(q BinaryHV, candidates []int, k int) []Match {
-	s.checkQuery(q)
-	if k <= 0 {
-		return nil
-	}
-	if candidates == nil && s.n >= parallelMinRefs && len(s.shards) > 1 {
-		out := make([][]Match, 1)
-		s.batchFullScan([]BinaryHV{q}, []int{0}, k, out)
-		return out[0]
-	}
-	sc := scratchPool.Get().(*searchScratch)
-	out := s.topKScratch(q, candidates, k, sc)
-	scratchPool.Put(sc)
-	return out
-}
-
-// topKScratch is the sequential top-k path over a worker's scratch.
-// A nil candidate set is the full row range; an explicit set takes
-// the per-row gather path.
-func (s *ShardedSearcher) topKScratch(q BinaryHV, candidates []int, k int, sc *searchScratch) []Match {
-	if candidates == nil {
-		return s.topKRangeScratch(q, RowRange{Lo: 0, Hi: s.n}, k, sc)
-	}
-	if s.multiTier() {
-		return s.topKGatherCascade(q, candidates, k, sc)
-	}
-	h := sc.heap[:0]
-	for _, i := range candidates {
-		if i < 0 || i >= s.n {
-			continue
-		}
-		sh := &s.shards[i/s.shardSize]
-		h = offerTopK(h, Match{Index: i, Similarity: s.simRow(q.Words, sh, i-sh.start)}, k)
-	}
-	sc.heap = h
-	return sortedMatches(h)
-}
-
-// topKGatherCascade is the candidate-gather path over a tiered store:
-// every candidate's tier-0 prefix is scored, and the deeper rungs
-// only while the running bound (or the shortlist) admits the descent.
-// Exact mode is bit-identical to the single-tier gather: a skipped
-// row has partial distance above the current k-th-best total
-// distance, so offerTopK would have rejected it anyway.
-func (s *ShardedSearcher) topKGatherCascade(q BinaryHV, candidates []int, k int, sc *searchScratch) []Match {
-	qw := q.Words
-	q0 := s.qtier(qw, 0)
-	nt := len(s.tw)
-	tcnt := sc.tierCounts(nt)
-	h := sc.heap[:0]
-	if s.shortlist > 0 {
-		ph := sc.pheap[:0]
-		for _, i := range candidates {
-			if i < 0 || i >= s.n {
-				continue
-			}
-			sh := &s.shards[i/s.shardSize]
-			row := i - sh.start
-			tcnt[0]++
-			ph = offerTopK(ph, Match{Index: i, Similarity: -distRow(q0, s.tierRow(sh, 0, row))}, s.shortlist)
-		}
-		sc.pheap = ph
-		for t := 1; t < nt; t++ {
-			tcnt[t] += uint64(len(ph))
-		}
-		for _, pm := range sortedMatches(ph) {
-			h = offerTopK(h, s.completeRow(qw, pm), k)
-		}
-	} else {
-		bound := math.MaxInt
-		for _, i := range candidates {
-			if i < 0 || i >= s.n {
-				continue
-			}
-			sh := &s.shards[i/s.shardSize]
-			row := i - sh.start
-			tcnt[0]++
-			partial := distRow(q0, s.tierRow(sh, 0, row))
-			pruned := false
-			for t := 1; t < nt; t++ {
-				if partial > bound {
-					pruned = true
-					break
-				}
-				tcnt[t]++
-				partial += distRow(s.qtier(qw, t), s.tierRow(sh, t, row))
-			}
-			if pruned {
-				continue
-			}
-			h = offerTopK(h, Match{Index: i, Similarity: s.d - partial}, k)
-			if len(h) == k {
-				bound = s.d - h[0].Similarity
-			}
-		}
-	}
-	sc.heap = h
-	s.addTierRows(tcnt)
-	return sortedMatches(h)
-}
-
-// BatchTopK runs TopK for many queries, parallel across CPU cores,
-// each worker reusing one scratch heap and similarity buffer (no
-// per-query allocation beyond the returned matches). candidates[i]
-// restricts query i's search space; a nil candidates slice — or one
-// shorter than queries — treats the missing entries as nil (all
-// references). Full-scan queries take the blocked batch path: every
-// query is swept over each cache-resident row block before the scan
-// advances, so the packed reference store streams from memory once
-// per batch instead of once per query.
-func (s *ShardedSearcher) BatchTopK(queries []BinaryHV, candidates [][]int, k int) [][]Match {
-	out := make([][]Match, len(queries))
-	for i := range queries {
-		s.checkQuery(queries[i])
-	}
-	if k <= 0 {
-		return out
-	}
-	// Split full scans from candidate-restricted queries.
-	var full, restricted []int
-	for i := range queries {
-		if i < len(candidates) && candidates[i] != nil {
-			restricted = append(restricted, i)
-		} else {
-			full = append(full, i)
-		}
-	}
-	// The two pools run one after the other: both are CPU-bound and
-	// each already fans out to GOMAXPROCS workers, so overlapping them
-	// would only oversubscribe the cores.
-	if len(full) > 0 {
-		s.batchFullScan(queries, full, k, out)
-	}
-	if len(restricted) > 0 {
-		workers := min(runtime.GOMAXPROCS(0), len(restricted))
-		next := make(chan int, len(restricted))
-		for _, i := range restricted {
-			next <- i
-		}
-		close(next)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := scratchPool.Get().(*searchScratch)
-				defer scratchPool.Put(sc)
-				for i := range next {
-					out[i] = s.topKScratch(queries[i], candidates[i], k, sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return out
-}
-
-// batchFullScan scores the full-scan queries qIdx against every
-// shard. A full scan is the row range [0, Len()), so it shares the
-// block-major range machinery: shards fan out across CPU cores and
-// each cache-resident row block is swept by every query.
-func (s *ShardedSearcher) batchFullScan(queries []BinaryHV, qIdx []int, k int, out [][]Match) {
-	ranges := make([]RowRange, len(queries))
-	for _, f := range qIdx {
-		ranges[f] = RowRange{Lo: 0, Hi: s.n}
-	}
-	s.batchRangeScan(queries, ranges, qIdx, k, out, nil)
-}
-
 // TopKRange returns the k most similar references among the
 // contiguous packed-row range [lo, hi) (clamped to [0, Len())),
 // ordered by descending similarity with ties broken by ascending
-// index — bit-identical to TopK over the equivalent materialized
-// candidate slice, but streaming the rows through the blocked kernel
-// instead of gathering them one at a time. Large ranges spanning
-// several shards fan out across CPU cores.
+// index, streaming the rows through the blocked kernel. Large ranges
+// spanning several shards fan out across CPU cores.
 func (s *ShardedSearcher) TopKRange(q BinaryHV, lo, hi, k int) []Match {
 	s.checkQuery(q)
 	if k <= 0 {
@@ -1164,20 +902,14 @@ func (s *ShardedSearcher) topKRangeCascade(q BinaryHV, r RowRange, k int, sc *se
 // cores, and within a shard every cache-resident row block is swept
 // by all queries whose ranges cover it before the scan advances.
 // Queries sorted by precursor mass have heavily overlapping ranges,
-// so the packed store streams from memory once per batch — as in the
-// full-scan path — instead of once per query through the per-row
-// gather path. Results are bit-identical to TopK over the equivalent
-// materialized candidate slices.
-func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, k int) [][]Match {
-	return s.BatchTopKRangeTraced(queries, ranges, k, nil)
-}
-
-// BatchTopKRangeTraced is BatchTopKRange with per-stage tracing: when
-// tr is non-nil the scan accumulates per-tier sweep nanoseconds and
-// row counters into it. Timing never alters control flow, so results
-// are bit-identical to the untraced call; a nil tr makes every
-// recording site a no-op branch.
-func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) [][]Match {
+// so the packed store streams from memory once per batch instead of
+// once per query. A full scan is the range [0, Len()).
+//
+// When tr is non-nil the scan accumulates per-tier sweep nanoseconds
+// and row counters into it. Timing never alters control flow, so
+// results are bit-identical with and without a trace; a nil tr makes
+// every recording site a no-op branch.
+func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) [][]Match {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("hdc: %d queries with %d ranges", len(queries), len(ranges)))
 	}

@@ -1,7 +1,6 @@
 package libindex
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -73,9 +72,9 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 	if !permsEqual(lib.DimPerm, st.DimPerm) {
 		return 0, fmt.Errorf("libindex: delta batch is packed under a different bit-layout permutation than the library (build it with BuildDeltaLibrary)")
 	}
-	var p core.Params
-	if err := json.Unmarshal(st.Params, &p); err != nil {
-		return 0, fmt.Errorf("libindex: decoding manifest params: %w", err)
+	p, err := st.DecodeParams()
+	if err != nil {
+		return 0, err
 	}
 	n := lib.Len()
 	parts := 1

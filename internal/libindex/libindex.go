@@ -345,8 +345,8 @@ func load(r io.Reader) (core.Params, *core.Library, []uint64, error) {
 		return core.Params{}, nil, nil, fmt.Errorf("libindex: trailing data after checksum")
 	}
 
-	var p core.Params
-	if err := json.Unmarshal(paramsJSON, &p); err != nil {
+	p, err := decodeParams(paramsJSON)
+	if err != nil {
 		return core.Params{}, nil, nil, fmt.Errorf("libindex: decoding params: %w", err)
 	}
 	if p.Accel.D != d {
@@ -556,4 +556,30 @@ func (s *sectionReader) u64s(vs []uint64) {
 		}
 		vs = vs[c:]
 	}
+}
+
+// decodeParams decodes a stored core.Params document. Indexes written
+// before the K-tier ladder carry a legacy two-tier knob instead of
+// Tiers: a positive tier-0 width p is the ladder [p, rest], so it
+// decodes as Tiers [p], except that a p at or above the row's word
+// count leaves nothing to prune and decodes as the single-tier layout.
+// A document setting both the knob and Tiers is rejected.
+func decodeParams(data []byte) (core.Params, error) {
+	var doc struct {
+		core.Params
+		LegacyTier0 int `json:"PrefilterWords"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return core.Params{}, err
+	}
+	p, w := doc.Params, doc.LegacyTier0
+	if w > 0 {
+		if len(p.Tiers) > 0 {
+			return core.Params{}, fmt.Errorf("params set both Tiers and the legacy two-tier knob")
+		}
+		if w < hdc.WordsPerHV(p.Accel.D) {
+			p.Tiers = []int{w}
+		}
+	}
+	return p, nil
 }

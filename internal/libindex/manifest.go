@@ -80,8 +80,8 @@ type PartitionInfo struct {
 
 // DecodeParams decodes the engine parameters the base record stored.
 func (st *ManifestState) DecodeParams() (core.Params, error) {
-	var p core.Params
-	if err := json.Unmarshal(st.Params, &p); err != nil {
+	p, err := decodeParams(st.Params)
+	if err != nil {
 		return core.Params{}, fmt.Errorf("libindex: decoding manifest params: %w", err)
 	}
 	return p, nil

@@ -2,7 +2,6 @@ package libindex
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -308,8 +307,8 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 		return fail("trailing data after checksum")
 	}
 
-	var p core.Params
-	if err := json.Unmarshal(paramsJSON, &p); err != nil {
+	p, err := decodeParams(paramsJSON)
+	if err != nil {
 		return fail("decoding params: %v", err)
 	}
 	if p.Accel.D != d {

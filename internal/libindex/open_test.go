@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,15 +35,17 @@ func resealRecordLine(t *testing.T, line string) []byte {
 // identically to one over the loaded library.
 func TestOpenFileMatchesLoad(t *testing.T) {
 	ds := testWorkload(t)
-	cases := []struct{ d, shard, prefilter int }{
+	cases := []struct{ d, shard, tier0 int }{
 		{512, 0, 0},
 		{1024, 64, 4},
 		{1000, 96, 3}, // non-multiple-of-64 dimension exercises the tail mask
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("D%d/shard%d/pf%d", tc.d, tc.shard, tc.prefilter), func(t *testing.T) {
+		t.Run(fmt.Sprintf("D%d/shard%d/pf%d", tc.d, tc.shard, tc.tier0), func(t *testing.T) {
 			p := testParams(tc.d, tc.shard, 3)
-			p.PrefilterWords = tc.prefilter
+			if tc.tier0 > 0 {
+				p.Tiers = []int{tc.tier0}
+			}
 			built := buildEngine(t, p, ds.Library)
 			path := filepath.Join(t.TempDir(), "lib.omsidx")
 			if err := SaveFile(path, p, built.Library()); err != nil {
@@ -62,7 +65,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 				t.Fatal("OpenFile did not map the index on a unix platform")
 			}
 			if ix.Params.Accel != lp.Accel || ix.Params.ShardSize != lp.ShardSize ||
-				ix.Params.PrefilterWords != lp.PrefilterWords {
+				!slices.Equal(ix.Params.Tiers, lp.Tiers) {
 				t.Fatalf("params mismatch: open %+v load %+v", ix.Params.Accel, lp.Accel)
 			}
 			if ix.Lib.Len() != lib.Len() || ix.Lib.Skipped != lib.Skipped {

@@ -104,7 +104,7 @@ type Options struct {
 }
 
 // sizes returns the operating-point shape for the run variant.
-func sizes(o Options) (nRefs, nQueries, k, prefilterWords int) {
+func sizes(o Options) (nRefs, nQueries, k, tier0Words int) {
 	nRefs = 20_000
 	if o.Quick {
 		nRefs = 4_000
@@ -173,14 +173,18 @@ func benchHVs(nRefs, nQueries int) ([]hdc.BinaryHV, []hdc.BinaryHV) {
 func runSharded(o Options) (Point, error) {
 	nRefs, nQueries, k, _ := sizes(o)
 	refs, queries := benchHVs(nRefs, nQueries)
-	s, err := hdc.NewSearcher(refs)
+	s, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		return Point{}, fmt.Errorf("perfbench sharded: %v", err)
+	}
+	full := make([]hdc.RowRange, len(queries))
+	for i := range full {
+		full[i] = hdc.RowRange{Lo: 0, Hi: nRefs}
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.BatchTopK(queries, nil, k)
+			s.BatchTopKRange(queries, full, k, nil)
 		}
 	})
 	return point("sharded", r, nQueries), nil
@@ -191,7 +195,7 @@ func runSharded(o Options) (Point, error) {
 // near matches (3% bit flips) at the window start, so the running
 // k-th-best bound tightens early and prunes tier-B completions.
 func runCascade(o Options) (Point, error) {
-	nRefs, nQueries, k, prefilterWords := sizes(o)
+	nRefs, nQueries, k, tier0Words := sizes(o)
 	refs, queries := benchHVs(nRefs, nQueries)
 	rng := rand.New(rand.NewSource(13))
 	width := nRefs / 4
@@ -204,7 +208,7 @@ func runCascade(o Options) (Point, error) {
 			refs[lo+j].FlipBits(0.03, rng)
 		}
 	}
-	s, err := hdc.NewSearcherCascade(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
+	s, err := hdc.NewShardedSearcherCascade(refs, 0, hdc.CascadeConfig{Tiers: []int{tier0Words}})
 	if err != nil {
 		return Point{}, fmt.Errorf("perfbench cascade: %v", err)
 	}
@@ -212,7 +216,7 @@ func runCascade(o Options) (Point, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.BatchTopKRange(queries, ranges, k)
+			s.BatchTopKRange(queries, ranges, k, nil)
 		}
 	})
 	after, _ := s.CascadeStats()
@@ -277,7 +281,7 @@ func skewedHVs(nRefs, nQueries int) ([]hdc.BinaryHV, []hdc.BinaryHV) {
 // is the entropy side, carrying the wall-clock speedup and both
 // prune-rate vectors.
 func runLadder(o Options) (Point, error) {
-	nRefs, nQueries, k, prefilterWords := sizes(o)
+	nRefs, nQueries, k, tier0Words := sizes(o)
 	refs, queries := skewedHVs(nRefs, nQueries)
 	rng := rand.New(rand.NewSource(29))
 	width := nRefs / 4
@@ -290,7 +294,7 @@ func runLadder(o Options) (Point, error) {
 			refs[lo+j].FlipBits(0.03, rng)
 		}
 	}
-	tiers := []int{prefilterWords, hdc.WordsPerHV(benchD) - prefilterWords}
+	tiers := []int{tier0Words, hdc.WordsPerHV(benchD) - tier0Words}
 
 	perm := hdc.EntropyPermutation(refs)
 	prefs := make([]hdc.BinaryHV, len(refs))
@@ -303,7 +307,7 @@ func runLadder(o Options) (Point, error) {
 	}
 
 	measure := func(rs, qs []hdc.BinaryHV) (testing.BenchmarkResult, hdc.CascadeStats, error) {
-		s, err := hdc.NewSearcherCascade(rs, 0, hdc.CascadeConfig{Tiers: tiers})
+		s, err := hdc.NewShardedSearcherCascade(rs, 0, hdc.CascadeConfig{Tiers: tiers})
 		if err != nil {
 			return testing.BenchmarkResult{}, hdc.CascadeStats{}, err
 		}
@@ -311,7 +315,7 @@ func runLadder(o Options) (Point, error) {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.BatchTopKRange(qs, ranges, k)
+				s.BatchTopKRange(qs, ranges, k, nil)
 			}
 		})
 		after, _ := s.CascadeStats()
