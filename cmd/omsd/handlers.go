@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/spectrum"
 )
@@ -235,17 +234,15 @@ func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sv.release()
 	health := map[string]any{
-		"status":            "ok",
-		"references":        sv.engine.NumRefs(),
-		"skipped":           sv.engine.Skipped(),
-		"partitions":        sv.partitions,
-		"index_age_seconds": int64(time.Since(sv.loaded).Seconds()),
-		"uptime_seconds":    int64(time.Since(d.started).Seconds()),
-	}
-	if sv.partitions > 0 {
-		health["manifest_generation"] = sv.overlay.Generation
-		health["delta_partitions"] = sv.overlay.DeltaPartitions
-		health["tombstones"] = sv.overlay.Tombstones
+		"status":              "ok",
+		"references":          sv.engine.NumRefs(),
+		"skipped":             sv.engine.Skipped(),
+		"partitions":          sv.engine.NumPartitions(),
+		"manifest_generation": sv.overlay.Generation,
+		"delta_partitions":    sv.overlay.DeltaPartitions,
+		"tombstones":          sv.overlay.Tombstones,
+		"index_age_seconds":   int64(time.Since(sv.loaded).Seconds()),
+		"uptime_seconds":      int64(time.Since(d.started).Seconds()),
 	}
 	writeJSON(w, health)
 }
@@ -278,14 +275,13 @@ type statsView struct {
 	CascadeTierRows    []uint64  `json:"cascade_tier_rows,omitempty"`
 	CascadeTierPrune   []float64 `json:"cascade_tier_prune_rates,omitempty"`
 
-	// Partitions is present for a partitioned index: one entry per
-	// partition with its global row span, mass fences and pruning
-	// counters.
+	// Partitions has one entry per partition (one for a single index
+	// file) with its global row span, mass fences and pruning counters.
 	Partitions []partitionView `json:"partitions,omitempty"`
 
-	// Overlay is present for a partitioned index: the incremental-update
-	// state the generation serves (manifest generation, delta tier,
-	// outstanding tombstones and the rows they shadow).
+	// Overlay is the incremental-update state the generation serves
+	// (manifest generation, delta tier, outstanding tombstones and the
+	// rows they shadow).
 	Overlay *overlayView `json:"overlay,omitempty"`
 }
 
@@ -345,30 +341,28 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		CascadeTierRows:    st.CascadeTierRows,
 		CascadeTierPrune:   st.CascadeTierPruneRates,
 	}
-	if pe, ok := sv.engine.(interface{ PartitionStats() []core.PartitionStat }); ok {
-		for _, ps := range pe.PartitionStats() {
-			view.Partitions = append(view.Partitions, partitionView{
-				StartRow:    ps.StartRow,
-				Refs:        ps.Refs,
-				MinMass:     ps.MinMass,
-				MaxMass:     ps.MaxMass,
-				Generation:  ps.Gen,
-				Delta:       ps.Delta,
-				HiddenRefs:  ps.HiddenRefs,
-				Prefiltered: ps.Cascade.Prefiltered(),
-				Completed:   ps.Cascade.Completed(),
-				PruneRate:   ps.Cascade.PruneRate(),
-				TierRows:    ps.Cascade.TierRows,
-			})
-		}
-		ov := sv.overlay
-		view.Overlay = &overlayView{
-			Generation:      ov.Generation,
-			DeltaPartitions: ov.DeltaPartitions,
-			DeltaRefs:       ov.DeltaRefs,
-			Tombstones:      ov.Tombstones,
-			HiddenRefs:      ov.HiddenRefs,
-		}
+	for _, ps := range sv.engine.PartitionStats() {
+		view.Partitions = append(view.Partitions, partitionView{
+			StartRow:    ps.StartRow,
+			Refs:        ps.Refs,
+			MinMass:     ps.MinMass,
+			MaxMass:     ps.MaxMass,
+			Generation:  ps.Gen,
+			Delta:       ps.Delta,
+			HiddenRefs:  ps.HiddenRefs,
+			Prefiltered: ps.Cascade.Prefiltered(),
+			Completed:   ps.Cascade.Completed(),
+			PruneRate:   ps.Cascade.PruneRate(),
+			TierRows:    ps.Cascade.TierRows,
+		})
+	}
+	ov := sv.overlay
+	view.Overlay = &overlayView{
+		Generation:      ov.Generation,
+		DeltaPartitions: ov.DeltaPartitions,
+		DeltaRefs:       ov.DeltaRefs,
+		Tombstones:      ov.Tombstones,
+		HiddenRefs:      ov.HiddenRefs,
 	}
 	writeJSON(w, view)
 }

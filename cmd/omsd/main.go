@@ -10,10 +10,12 @@
 //	     [-tiers 4,12,112] [-shortlist 0]
 //
 // -index accepts either a single index file or a partition manifest
-// written by omsbuild -partitions; a partitioned library routes each
-// query's precursor window through the manifest's mass fences, fans
-// the batched search out across partitions, and merges per-partition
-// top-k exactly — bit-identical to serving the single-file index.
+// written by omsbuild -partitions, and serves both through one
+// partitioned engine (a single file is one partition at manifest
+// generation 1): each query's precursor window is routed through the
+// partitions' mass fences, the batched search fans out across
+// partitions, and per-partition top-k merge exactly — a manifest
+// serves results bit-identical to the single-file index.
 //
 // SIGHUP hot-reloads the index: the daemon rebuilds the engine from
 // the (possibly rewritten) index path and swaps it under live traffic.
@@ -34,7 +36,7 @@
 // -tiers selects the K-tier pruned cascade ladder (exact for any
 // ladder; -shortlist M switches it to approximate best-M completion).
 // GET /stats reports the measured per-tier row
-// counts and pruning rates, per partition for a partitioned index. An
+// counts and pruning rates, per partition. An
 // index built with -bit-layout entropy serves transparently: the
 // stored permutation is applied to every query at encode time.
 //

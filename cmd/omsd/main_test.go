@@ -22,9 +22,24 @@ import (
 	"repro/internal/spectrum"
 )
 
+// buildServedEngine encodes library and wires the engine type omsd
+// serves: the exact partitioned engine, here over one partition.
+func buildServedEngine(t *testing.T, p core.Params, library []*spectrum.Spectrum) *core.PartitionedEngine {
+	t.Helper()
+	built, _, err := core.BuildExact(p, library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, _, err := core.NewPartitionedExactEngine(p, []*core.Library{built.Library()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine
+}
+
 // testDaemon builds a daemon over a small exact engine, wired through
 // the same reload machinery main uses.
-func testDaemon(t *testing.T) (*daemon, *core.Engine, *msdata.Dataset) {
+func testDaemon(t *testing.T) (*daemon, *core.PartitionedEngine, *msdata.Dataset) {
 	t.Helper()
 	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
 	if err != nil {
@@ -33,10 +48,7 @@ func testDaemon(t *testing.T) (*daemon, *core.Engine, *msdata.Dataset) {
 	p := core.DefaultParams()
 	p.Accel.D = 1024
 	p.Accel.NumChunks = 64
-	engine, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine := buildServedEngine(t, p, ds.Library)
 	d := newDaemon(func() (*serving, error) {
 		srv, err := serve.New(engine, serve.Config{MaxBatch: 16, MaxDelay: time.Millisecond})
 		if err != nil {

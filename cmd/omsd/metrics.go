@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 )
@@ -89,34 +88,30 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if pe, ok := sv.engine.(interface{ PartitionStats() []core.PartitionStat }); ok {
-		stats := pe.PartitionStats()
-		p.Family("oms_partition_refs", "References per partition.", "gauge")
-		for i, ps := range stats {
-			p.Sample("oms_partition_refs", partLabel(i), float64(ps.Refs))
-		}
-		p.Family("oms_partition_rows_swept_total", "Candidate rows swept per partition.", "counter")
-		for i, ps := range stats {
-			p.Sample("oms_partition_rows_swept_total", partLabel(i), float64(ps.RowsSwept))
-		}
-		p.Family("oms_partition_rows_prefiltered_total", "Cascade-prefiltered (tier-0) rows per partition.", "counter")
-		for i, ps := range stats {
-			p.Sample("oms_partition_rows_prefiltered_total", partLabel(i), float64(ps.Cascade.Prefiltered()))
-		}
-		p.Family("oms_partition_rows_completed_total", "Cascade-completed (final-tier) rows per partition.", "counter")
-		for i, ps := range stats {
-			p.Sample("oms_partition_rows_completed_total", partLabel(i), float64(ps.Cascade.Completed()))
-		}
+	stats := sv.engine.PartitionStats()
+	p.Family("oms_partition_refs", "References per partition.", "gauge")
+	for i, ps := range stats {
+		p.Sample("oms_partition_refs", partLabel(i), float64(ps.Refs))
+	}
+	p.Family("oms_partition_rows_swept_total", "Candidate rows swept per partition.", "counter")
+	for i, ps := range stats {
+		p.Sample("oms_partition_rows_swept_total", partLabel(i), float64(ps.RowsSwept))
+	}
+	p.Family("oms_partition_rows_prefiltered_total", "Cascade-prefiltered (tier-0) rows per partition.", "counter")
+	for i, ps := range stats {
+		p.Sample("oms_partition_rows_prefiltered_total", partLabel(i), float64(ps.Cascade.Prefiltered()))
+	}
+	p.Family("oms_partition_rows_completed_total", "Cascade-completed (final-tier) rows per partition.", "counter")
+	for i, ps := range stats {
+		p.Sample("oms_partition_rows_completed_total", partLabel(i), float64(ps.Cascade.Completed()))
 	}
 
-	if sv.partitions > 0 {
-		ov := sv.overlay
-		p.Gauge("oms_manifest_generation", "Manifest-log generation the current index serves.", float64(ov.Generation))
-		p.Gauge("oms_delta_partitions", "Delta-tier partitions in the current generation.", float64(ov.DeltaPartitions))
-		p.Gauge("oms_delta_refs", "References in the delta tier.", float64(ov.DeltaRefs))
-		p.Gauge("oms_tombstones", "Outstanding retractions (tombstones).", float64(ov.Tombstones))
-		p.Gauge("oms_hidden_refs", "Physical rows shadowed by tombstones or newer-generation re-additions.", float64(ov.HiddenRefs))
-	}
+	ov := sv.overlay
+	p.Gauge("oms_manifest_generation", "Manifest-log generation the current index serves.", float64(ov.Generation))
+	p.Gauge("oms_delta_partitions", "Delta-tier partitions in the current generation.", float64(ov.DeltaPartitions))
+	p.Gauge("oms_delta_refs", "References in the delta tier.", float64(ov.DeltaRefs))
+	p.Gauge("oms_tombstones", "Outstanding retractions (tombstones).", float64(ov.Tombstones))
+	p.Gauge("oms_hidden_refs", "Physical rows shadowed by tombstones or newer-generation re-additions.", float64(ov.HiddenRefs))
 	p.Counter("oms_compactions_total", "In-process compactions published (omsd -compact-interval).", float64(d.compactions.Load()))
 	p.Counter("oms_compaction_failures_total", "In-process compaction attempts that failed.", float64(d.compactFailures.Load()))
 
@@ -126,7 +121,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	p.Gauge("oms_index_references", "Encoded references served by the current generation.", float64(sv.engine.NumRefs()))
 	p.Gauge("oms_index_skipped_refs", "Reference spectra rejected by preprocessing at build time.", float64(sv.engine.Skipped()))
-	p.Gauge("oms_index_partitions", "Partition count of the current index (0 = single file).", float64(sv.partitions))
+	p.Gauge("oms_index_partitions", "Partition count of the current index.", float64(sv.engine.NumPartitions()))
 	p.Gauge("oms_index_age_seconds", "Seconds since the current generation loaded.", time.Since(sv.loaded).Seconds())
 	p.Gauge("oms_uptime_seconds", "Seconds since daemon start.", time.Since(d.started).Seconds())
 

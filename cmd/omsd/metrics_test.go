@@ -40,10 +40,7 @@ func obsvDaemonParams(t *testing.T, cfg serve.Config, mutate func(*core.Params))
 	if mutate != nil {
 		mutate(&p)
 	}
-	engine, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine := buildServedEngine(t, p, ds.Library)
 	d := newDaemon(func() (*serving, error) {
 		srv, err := serve.New(engine, cfg)
 		if err != nil {

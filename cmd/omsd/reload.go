@@ -32,29 +32,29 @@ type servingConfig struct {
 }
 
 // serving is one generation of the daemon's serving state: an opened
-// index (single-file or partitioned manifest), the engine over it, and
-// the micro-batcher. Generations are reference-counted: the current
-// pointer holds one reference and every in-flight search holds one
-// more, so after a hot swap the old generation drains naturally — its
-// batcher closes and its index unmaps only when the last search using
-// it has returned. A search therefore always completes against exactly
-// the generation it was admitted to: never a mix of old and new index,
-// and never a mapping unmapped under a live scan.
+// index (single-file or partitioned manifest, both served as a
+// partitioned engine), the engine over it, and the micro-batcher.
+// Generations are reference-counted: the current pointer holds one
+// reference and every in-flight search holds one more, so after a hot
+// swap the old generation drains naturally — its batcher closes and
+// its index unmaps only when the last search using it has returned. A
+// search therefore always completes against exactly the generation it
+// was admitted to: never a mix of old and new index, and never a
+// mapping unmapped under a live scan.
 type serving struct {
 	srv        *serve.Server
-	engine     core.SearchEngine
+	engine     *core.PartitionedEngine
 	closeIndex func() error
 	desc       string
-	partitions int
 	// tiers/shortlist are the effective cascade settings the engine
 	// was built with (index params after flag overrides) — the startup
 	// log must report these, not the "index setting" flag sentinels.
 	tiers     []int
 	shortlist int
 	loaded    time.Time
-	// overlay is the incremental-update state of a partitioned index
-	// (manifest generation, delta tier, tombstones); zero for
-	// single-file indexes.
+	// overlay is the incremental-update state the generation serves
+	// (manifest generation, delta tier, tombstones); a single index
+	// file serves as generation 1 with no deltas or tombstones.
 	overlay core.OverlayStats
 
 	refs atomic.Int64
@@ -75,70 +75,41 @@ func (sv *serving) release() {
 	}
 }
 
-// buildServing opens the index path (sniffing single index file vs
-// partition manifest), wires the engine and starts a micro-batcher
-// over it.
+// buildServing opens the index path (a single index file or a
+// partition manifest), wires the partitioned engine and starts a
+// micro-batcher over it.
 func buildServing(cfg servingConfig) (*serving, error) {
-	override := func(p core.Params) core.Params {
-		p.Open = !cfg.standard
-		if cfg.topk > 0 {
-			p.TopK = cfg.topk
-		}
-		if len(cfg.tiers) > 0 {
-			p.Tiers = cfg.tiers
-		}
-		if cfg.shortlist >= 0 {
-			p.ShortlistPerQuery = cfg.shortlist
-		}
-		return p
-	}
-	kind, err := libindex.DetectKind(cfg.indexPath)
+	pi, err := libindex.Open(cfg.indexPath)
 	if err != nil {
 		return nil, err
 	}
-	sv := &serving{loaded: time.Now()}
-	record := func(p core.Params) core.Params {
-		sv.tiers = p.Tiers
-		sv.shortlist = p.ShortlistPerQuery
-		return p
+	p := pi.Params
+	p.Open = !cfg.standard
+	if cfg.topk > 0 {
+		p.TopK = cfg.topk
 	}
-	switch kind {
-	case libindex.KindManifest:
-		pi, err := libindex.OpenManifest(cfg.indexPath)
-		if err != nil {
-			return nil, err
-		}
-		set := pi.PartitionSet()
-		engine, _, err := core.NewPartitionedEngine(record(override(pi.Params)), set)
-		if err != nil {
-			pi.Close()
-			return nil, err
-		}
-		sv.engine = engine //oms:transfer the serving generation owns the mapping; release() closes engine and index together
-		sv.closeIndex = pi.Close
-		sv.partitions = engine.NumPartitions()
-		sv.overlay = engine.OverlayStats()
-		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d",
-			cfg.indexPath, sv.overlay.Generation, engine.NumRefs(), engine.NumPartitions(),
-			sv.overlay.DeltaPartitions, sv.overlay.Tombstones, pi.Params.Accel.D)
-	default:
-		ix, err := libindex.OpenFile(cfg.indexPath)
-		if err != nil {
-			return nil, err
-		}
-		engine, _, err := core.NewExactEngineFromPacked(record(override(ix.Params)), ix.Lib, ix.Words())
-		if err != nil {
-			ix.Close()
-			return nil, err
-		}
-		// The searcher reads the packed block; the per-entry hypervector
-		// views are dead weight in a resident process.
-		engine.ReleaseLibraryHVs()
-		sv.engine = engine //oms:transfer the serving generation owns the mapping; release() closes engine and index together
-		sv.closeIndex = ix.Close
-		sv.desc = fmt.Sprintf("%s: %d references, D=%d, mmap=%t",
-			cfg.indexPath, engine.NumRefs(), ix.Params.Accel.D, ix.Mapped())
+	if len(cfg.tiers) > 0 {
+		p.Tiers = cfg.tiers
 	}
+	if cfg.shortlist >= 0 {
+		p.ShortlistPerQuery = cfg.shortlist
+	}
+	engine, _, err := core.NewPartitionedEngine(p, pi.PartitionSet())
+	if err != nil {
+		pi.Close()
+		return nil, err
+	}
+	sv := &serving{
+		engine:     engine, //oms:transfer the serving generation owns the mapping; release() closes engine and index together
+		closeIndex: pi.Close,
+		tiers:      p.Tiers,
+		shortlist:  p.ShortlistPerQuery,
+		loaded:     time.Now(),
+		overlay:    engine.OverlayStats(),
+	}
+	sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d",
+		cfg.indexPath, sv.overlay.Generation, engine.NumRefs(), engine.NumPartitions(),
+		sv.overlay.DeltaPartitions, sv.overlay.Tombstones, p.Accel.D)
 	srv, err := serve.New(sv.engine, serve.Config{
 		MaxBatch:           cfg.maxBatch,
 		MaxDelay:           cfg.maxDelay,

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,14 +47,8 @@ func TestReloadSwapConsistency(t *testing.T) {
 		c.Peptide = c.Peptide + "@B"
 		libB[i] = &c
 	}
-	engineA, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engineB, _, err := core.BuildExact(p, libB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engineA := buildServedEngine(t, p, ds.Library)
+	engineB := buildServedEngine(t, p, libB)
 
 	type expectation struct {
 		ok   bool
@@ -73,7 +72,7 @@ func TestReloadSwapConsistency(t *testing.T) {
 
 	var gen atomic.Int64
 	d := newDaemon(func() (*serving, error) {
-		engine := core.SearchEngine(engineA)
+		engine := engineA
 		if gen.Add(1)%2 == 0 {
 			engine = engineB
 		}
@@ -339,4 +338,87 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	publisher.Wait()
+}
+
+// TestServeSingleFileIndex pins that omsd serves a single index file
+// through the same partitioned engine as a manifest: buildServing over
+// a .omsidx reports one partition at manifest generation 1 with no
+// deltas or tombstones, and its /search JSON is byte-equal to serving
+// a one-partition manifest of the same library.
+func TestServeSingleFileIndex(t *testing.T) {
+	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	p.Accel.D = 1024
+	p.Accel.NumChunks = 64
+	built, _, err := core.BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	single := filepath.Join(dir, "lib.omsidx")
+	manifest := filepath.Join(dir, "lib.manifest")
+	if err := libindex.SaveFile(single, p, built.Library()); err != nil {
+		t.Fatal(err)
+	}
+	if err := libindex.SavePartitioned(manifest, p, built.Library(), 1); err != nil {
+		t.Fatal(err)
+	}
+	var mgf bytes.Buffer
+	if err := spectrum.WriteMGF(&mgf, ds.Queries); err != nil {
+		t.Fatal(err)
+	}
+
+	// serveIndex starts a daemon on path and returns its /healthz body,
+	// /metrics text and the /search response to the whole query set.
+	serveIndex := func(path string) (map[string]any, string, []byte) {
+		t.Helper()
+		cfg := servingConfig{
+			indexPath: path, maxBatch: 16, maxDelay: time.Millisecond,
+			maxQueue: 1024, shortlist: -1,
+		}
+		d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
+		if _, err := d.reload(); err != nil {
+			t.Fatal(err)
+		}
+		defer d.shutdown()
+		get := func(req *http.Request) []byte {
+			rec := httptest.NewRecorder()
+			d.mux().ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", req.Method, req.URL, rec.Code, rec.Body.String())
+			}
+			return rec.Body.Bytes()
+		}
+		var health map[string]any
+		if err := json.Unmarshal(get(httptest.NewRequest("GET", "/healthz", nil)), &health); err != nil {
+			t.Fatal(err)
+		}
+		metrics := string(get(httptest.NewRequest("GET", "/metrics", nil)))
+		return health, metrics, get(httptest.NewRequest("POST", "/search", bytes.NewReader(mgf.Bytes())))
+	}
+
+	health, metrics, got := serveIndex(single)
+	for field, want := range map[string]float64{
+		"partitions": 1, "manifest_generation": 1, "delta_partitions": 0, "tombstones": 0,
+		"references": float64(built.NumRefs()),
+	} {
+		if health[field] != want {
+			t.Fatalf("single-file /healthz %s = %v, want %v (body %v)", field, health[field], want, health)
+		}
+	}
+	for _, line := range []string{"oms_index_partitions 1\n", "oms_manifest_generation 1\n", "oms_delta_partitions 0\n"} {
+		if !strings.Contains(metrics, line) {
+			t.Fatalf("single-file /metrics lacks %q", line)
+		}
+	}
+	if !bytes.Contains(got, []byte(`"matched":true`)) {
+		t.Fatalf("single-file /search matched nothing: %s", got)
+	}
+	_, _, want := serveIndex(manifest)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("single-file /search differs from the 1-partition manifest:\n--- single ---\n%s\n--- manifest ---\n%s", got, want)
+	}
 }

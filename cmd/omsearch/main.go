@@ -29,14 +29,15 @@
 // its engine parameters are loaded from the persistent index in
 // milliseconds — the encoder-identity flags (-d, -precision, -seed)
 // come from the index and are ignored. -index accepts either a single
-// index file (opened memory-mapped where supported: the packed words
-// become zero-copy searcher rows and fault in lazily) or a partition
-// manifest written by omsbuild -partitions, which routes each query's
-// precursor window to the overlapping mass-fenced partitions and
-// merges their top-k exactly — output is bit-identical to the
-// single-file index over the same library. Either way each query's
-// precursor window is a contiguous row range streamed through the
-// sharded engine's blocked XOR+popcount kernel; with -parallel the
+// index file or a partition manifest written by omsbuild -partitions;
+// both are opened memory-mapped where supported (the packed words
+// become zero-copy searcher rows and fault in lazily) and served by
+// one partitioned engine, which routes each query's precursor window
+// to the overlapping mass-fenced partitions (a single file is one
+// partition) and merges their top-k exactly — output is bit-identical
+// to the single-file index over the same library. Either way each
+// query's precursor window is a contiguous row range streamed through
+// the sharded engine's blocked XOR+popcount kernel; with -parallel the
 // whole query set is scored by one block-major batch sweep of the
 // packed store. Results are written to stdout as a TSV of accepted
 // PSMs.
@@ -115,20 +116,10 @@ func main() {
 			}
 			return p
 		}
-		kind, kerr := libindex.DetectKind(*indexPath)
-		fatalIf(kerr)
-		switch kind {
-		case libindex.KindManifest:
-			pi, perr := libindex.OpenManifest(*indexPath)
-			fatalIf(perr)
-			engine, _, err = core.NewPartitionedEngine(override(pi.Params), pi.PartitionSet())
-			fatalIf(err)
-		default:
-			ix, oerr := libindex.OpenFile(*indexPath)
-			fatalIf(oerr)
-			engine, _, err = core.NewExactEngineFromPacked(override(ix.Params), ix.Lib, ix.Words())
-			fatalIf(err)
-		}
+		pi, perr := libindex.Open(*indexPath)
+		fatalIf(perr)
+		engine, _, err = core.NewPartitionedEngine(override(pi.Params), pi.PartitionSet())
+		fatalIf(err)
 		// The index mappings stay open for the process lifetime; the
 		// searcher rows are views over them.
 	} else {

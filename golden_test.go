@@ -4,10 +4,12 @@ package repro
 // query set (testdata/golden/) driven through the omsbuild → omsearch
 // pipeline in-process — build the encoded library, persist it as both
 // a single index file and a 3-partition manifest, open both back
-// (mmap-backed), search, and render omsearch's TSV. The single-file
-// and partitioned outputs must match byte for byte, and both must
-// match the checked-in expected.tsv (regenerate deliberately with
-// -update-golden after an intentional scoring change).
+// (mmap-backed) through libindex.Open into the partitioned engine
+// omsearch serves, search, and render omsearch's TSV. The in-memory
+// engine, single-file and partitioned outputs must match byte for
+// byte, and all must match the checked-in expected.tsv (regenerate
+// deliberately with -update-golden after an intentional scoring
+// change).
 
 import (
 	"bytes"
@@ -72,42 +74,42 @@ func TestGoldenEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Single-file path, exactly as omsearch -index takes it.
-	ix, err := libindex.OpenFile(singlePath)
+	// The in-memory engine the index was built from, as omsearch
+	// -library runs it.
+	builtRes, err := engine.Run(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-	singleEngine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleRes, err := singleEngine.Run(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleTSV := renderGoldenTSV(singleRes)
+	builtTSV := renderGoldenTSV(builtRes)
 
-	// Partitioned path over the manifest.
-	pi, err := libindex.OpenManifest(manifestPath)
-	if err != nil {
-		t.Fatal(err)
+	// Both on-disk layouts, exactly as omsearch -index takes them.
+	runIndex := func(path string) string {
+		t.Helper()
+		pi, err := libindex.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pi.Close()
+		pe, _, err := core.NewPartitionedEngine(pi.Params, pi.PartitionSet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pe.Run(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderGoldenTSV(res)
 	}
-	defer pi.Close()
-	partEngine, _, err := core.NewPartitionedEngine(pi.Params, pi.PartitionSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	partRes, err := partEngine.Run(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partTSV := renderGoldenTSV(partRes)
+	singleTSV := runIndex(singlePath)
+	partTSV := runIndex(manifestPath)
 
 	if singleTSV != partTSV {
 		t.Fatalf("partitioned TSV differs from single-file TSV:\n--- single ---\n%s--- partitioned ---\n%s", singleTSV, partTSV)
 	}
-	if len(singleRes.Accepted) == 0 {
+	if builtTSV != singleTSV {
+		t.Fatalf("in-memory engine TSV differs from single-file TSV:\n--- in-memory ---\n%s--- single ---\n%s", builtTSV, singleTSV)
+	}
+	if len(builtRes.Accepted) == 0 {
 		t.Fatal("golden run accepted no PSMs; fixture is degenerate")
 	}
 
@@ -116,7 +118,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(singleTSV), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d accepted PSMs)", goldenPath, len(singleRes.Accepted))
+		t.Logf("rewrote %s (%d accepted PSMs)", goldenPath, len(builtRes.Accepted))
 		return
 	}
 	want, err := os.ReadFile(goldenPath)

@@ -7,7 +7,7 @@
 // partitioned sibling PartitionedIndex.Blocks) is a PROT_READ,
 // MAP_SHARED view of the index file on unix. A write through it does
 // not fail politely at compile time — it SIGSEGVs at best, and on a
-// platform where the fallback copying loader was in effect instead, it
+// platform where the copying fallback of OpenFile was in effect, it
 // silently corrupts the store every serving generation shares. Rows
 // handed out by ShardedSearcher.PackedRow carry the same contract:
 // today they are defensive copies, but the API reserves the right to
@@ -19,8 +19,8 @@
 //     slices/elements derived from them by assignment, reslicing and
 //     indexing;
 //   - the packed-block argument of the aliasing constructors
-//     (hdc.NewShardedSearcherFromPacked, core.NewExactEngineFromPacked,
-//     core.NewPartitionedExactEngine) — after that call the block is
+//     (hdc.NewShardedSearcherFromPacked, core.NewPartitionedExactEngine,
+//     core.NewPartitionedEngine) — after that call the block is
 //     shared with a searcher, so the caller must not write it either;
 //   - inside those constructors' own bodies, the block parameter
 //     itself.
@@ -70,7 +70,6 @@ var sourceCalls = map[string]bool{
 // packed-block arguments they retain.
 var sinkParams = map[string][]int{
 	"repro/internal/hdc.NewShardedSearcherFromPacked": {0},
-	"repro/internal/core.NewExactEngineFromPacked":    {2},
 	"repro/internal/core.NewPartitionedExactEngine":   {2},
 	"repro/internal/core.NewPartitionedEngine":        {1},
 }

@@ -51,13 +51,13 @@ func branchOrdersUseAfterClose(ix *libindex.Index, flush bool) uint64 {
 	return w[0] // want `w is a view into ix's mapping and is used after ix is closed`
 }
 
-func engineAfterClose(ix *libindex.Index) int {
-	engine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+func engineAfterClose(pi *libindex.PartitionedIndex) int {
+	engine, _, err := core.NewPartitionedExactEngine(pi.Params, pi.Libraries(), pi.Blocks())
 	if err != nil {
 		return 0
 	}
-	ix.Close()
-	return engine.NumRefs() // want `engine is a view into ix's mapping and is used after ix is closed`
+	pi.Close()
+	return engine.NumRefs() // want `engine is a view into pi's mapping and is used after pi is closed`
 }
 
 func partitionedUseAfterClose(pi *libindex.PartitionedIndex) uint64 {
@@ -114,14 +114,14 @@ func freshCopyOutlivesClose(ix *libindex.Index) []uint64 {
 	return cp
 }
 
-func transferAnnotatedHandoff(ix *libindex.Index, h *holder) {
-	engine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+func transferAnnotatedHandoff(pi *libindex.PartitionedIndex, h *holder) {
+	engine, _, err := core.NewPartitionedExactEngine(pi.Params, pi.Libraries(), pi.Blocks())
 	if err != nil {
-		ix.Close()
+		pi.Close()
 		return
 	}
 	h.engine = engine //oms:transfer fixture: holder's close ordering takes over
-	h.close = ix.Close
+	h.close = pi.Close
 	if h.engine == nil {
 		h.close()
 	}

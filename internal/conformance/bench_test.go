@@ -12,7 +12,8 @@ import (
 )
 
 // BenchmarkPartitionedTopKRange compares one batched top-k sweep over
-// a single-file mmap-backed engine against the same sweep fanned out
+// a single-file mmap-backed index (served as one partition) against
+// the same sweep fanned out
 // across a 4-partition manifest — the cost of mass-fence routing and
 // the exact per-query merge on top of the identical kernel work — and
 // against a deltas-present manifest of the same visible set, adding
@@ -65,12 +66,12 @@ func BenchmarkPartitionedTopKRange(b *testing.B) {
 	if err := libindex.SavePartitioned(manifestPath, p, lib, 4); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := libindex.OpenFile(singlePath)
+	si, err := libindex.Open(singlePath)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ix.Close()
-	single, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+	defer si.Close()
+	single, _, err := core.NewPartitionedEngine(si.Params, si.PartitionSet())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -471,15 +471,6 @@ func (e *Engine) CascadeStats() (hdc.CascadeStats, bool) {
 	return hdc.CascadeStats{}, false
 }
 
-// ReleaseLibraryHVs drops the library's hypervector slices. The
-// searcher packed its own copy of every reference word at
-// construction and the search path reads only Entries and the packed
-// store, so a long-lived serving process can halve its resident
-// memory by releasing the originals. After the call, Library.HVs is
-// nil: the caller must not inject storage errors, rebuild a searcher
-// from this library, or save it to an index.
-func (e *Engine) ReleaseLibraryHVs() { e.lib.HVs = nil }
-
 // PreparedQuery is a query that has passed preprocessing and encoding
 // and has had its precursor window resolved to a candidate row range
 // in the mass-ordered library. Preparation is the per-query,
@@ -702,41 +693,6 @@ func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, e
 	searcher, err := hdc.NewShardedSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, nil, err
-	}
-	engine, err := NewEngine(p, lib, enc, searcher)
-	if err != nil {
-		return nil, nil, err
-	}
-	return engine, enc, nil
-}
-
-// NewExactEngineFromPacked wires the exact engine over an
-// already-encoded library whose hypervectors are views into one
-// contiguous packed word block — the zero-copy path of a memory-mapped
-// library index (libindex.OpenFile). The sharded searcher aliases the
-// block instead of copying it (hdc.NewShardedSearcherFromPacked), so
-// under a single-tier layout engine construction touches no word pages
-// at all, and under a cascade layout only the tier-A prefixes are
-// copied to the heap while tier B faults in lazily from the mapping.
-// The block must stay alive (and mapped) for the engine's lifetime.
-func NewExactEngineFromPacked(p Params, lib *Library, block []uint64) (*Engine, *hdc.Encoder, error) {
-	ids, levels, err := accel.NewEncoderComponents(p.Accel)
-	if err != nil {
-		return nil, nil, err
-	}
-	enc, err := hdc.NewEncoder(ids, levels)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lib == nil || lib.Len() == 0 {
-		return nil, nil, fmt.Errorf("core: empty library")
-	}
-	searcher, err := hdc.NewShardedSearcherFromPacked(block, p.Accel.D, p.ShardSize, p.cascadeConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	if searcher.Len() != lib.Len() {
-		return nil, nil, fmt.Errorf("core: packed block holds %d rows but library has %d entries", searcher.Len(), lib.Len())
 	}
 	engine, err := NewEngine(p, lib, enc, searcher)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -159,7 +160,7 @@ func NewPartitionedEngine(p Params, set PartitionSet) (*PartitionedEngine, *hdc.
 		}
 		if i == 0 {
 			pe.dimPerm = lib.DimPerm
-		} else if !equalPerm(pe.dimPerm, lib.DimPerm) {
+		} else if !slices.Equal(pe.dimPerm, lib.DimPerm) {
 			return nil, nil, fmt.Errorf("core: partition %d bit-layout permutation differs from partition 0 (mixed build generations?)", i)
 		}
 		minMass := lib.Entries[0].Mass
@@ -763,20 +764,6 @@ func (pe *PartitionedEngine) Run(queries []*spectrum.Spectrum) (fdr.Result, erro
 		return fdr.Result{}, err
 	}
 	return fdr.Filter(psms, pe.params.FDRAlpha)
-}
-
-// equalPerm reports whether two bit-layout permutations are the same
-// layout (both nil = both natural).
-func equalPerm(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RunParallel is Run using the parallel batch path.

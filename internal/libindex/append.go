@@ -3,6 +3,7 @@ package libindex
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/accel"
@@ -69,7 +70,7 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 	if d := lib.HVs[0].D; d != st.D {
 		return 0, fmt.Errorf("libindex: delta batch has dimension D=%d, library has D=%d", d, st.D)
 	}
-	if !permsEqual(lib.DimPerm, st.DimPerm) {
+	if !slices.Equal(lib.DimPerm, st.DimPerm) {
 		return 0, fmt.Errorf("libindex: delta batch is packed under a different bit-layout permutation than the library (build it with BuildDeltaLibrary)")
 	}
 	p, err := st.DecodeParams()

@@ -1,7 +1,6 @@
 package libindex
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -59,7 +58,7 @@ func TestClosePoisonsIndex(t *testing.T) {
 }
 
 // TestClosePoisonsCopiedIndex pins that the poison does not depend on
-// which loader ran: a heap-copied index (no mapping to release) closes
+// which open path ran: a heap-copied index (no mapping to release) closes
 // to the same panicking state as a mapped one.
 func TestClosePoisonsCopiedIndex(t *testing.T) {
 	ds := testWorkload(t)
@@ -69,19 +68,12 @@ func TestClosePoisonsCopiedIndex(t *testing.T) {
 	if err := SaveFile(path, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := openCopied(f, path)
-	if cerr := f.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
+	ix, err := openCopied(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.Mapped() {
-		t.Fatal("copying loader produced a mapped index")
+		t.Fatal("copying open path produced a mapped index")
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)

@@ -3,19 +3,24 @@ package libindex
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
-// FuzzIndexLoad drives crafted index images through both loaders: the
-// streaming checksummed Load and the in-memory parser behind the
-// mmap-backed OpenFile. Neither may panic, and neither may size an
-// allocation from an unvalidated header field — Load grows its
-// metadata sections chunk by chunk against the bytes actually present,
-// and parseIndex checks the claimed entry count against the image size
-// before allocating anything. Structure-aware seeds start from a valid
-// save so the fuzzer explores deep states, not just magic-number
-// rejections. When both loaders accept an image they must agree on
-// what it contains.
+// FuzzIndexLoad drives crafted index images through the one parser,
+// parseIndex, and the copying open path built on it. The parser may
+// not panic, nor size an allocation from an unvalidated header field:
+// it checks the claimed entry count against the image size before
+// allocating anything. Each image is parsed from an 8-byte-aligned
+// copy (the packed words become a view over the image) and from a
+// misaligned copy (the words are copied out); the two must agree on
+// accept/reject and on content. Opening an image through the copying
+// path — parse, then CRC check — must accept exactly the images the
+// parser accepts whose CRC trailer verifies. Structure-aware seeds
+// start from a valid save so the fuzzer explores deep states, not just
+// magic-number rejections.
 func FuzzIndexLoad(f *testing.F) {
 	valid := validIndexImage(f)
 	f.Add(valid)
@@ -47,7 +52,7 @@ func FuzzIndexLoad(f *testing.F) {
 	}
 	// Version-3 permutation-section seeds: a valid permuted image, the
 	// same image with a duplicated perm entry (a checksummed
-	// non-bijection both loaders must reject descriptively), and a
+	// non-bijection the parser must reject descriptively), and a
 	// natural image claiming a nonzero perm length it does not carry.
 	permuted := permutedIndexImage(f)
 	f.Add(permuted)
@@ -60,31 +65,47 @@ func FuzzIndexLoad(f *testing.F) {
 	binary.LittleEndian.PutUint32(badLen[permSectionOffset(badLen):], 7)
 	f.Add(badLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lp, llib, lerr := Load(bytes.NewReader(data))
-		pp, plib, _, perr := parseIndex(data)
-		if lerr != nil {
+		aligned := alignedCopy(data, 0)
+		misaligned := alignedCopy(data, 1)
+		ap, alib, _, aerr := parseIndex(aligned)
+		mp, mlib, _, merr := parseIndex(misaligned)
+		if (aerr == nil) != (merr == nil) {
+			t.Fatalf("aligned and misaligned parses disagree: %v vs %v", aerr, merr)
+		}
+		crcOK := len(data) >= 4 &&
+			crc32.Checksum(data[:len(data)-4], castagnoli) == binary.LittleEndian.Uint32(data[len(data)-4:])
+		ix, oerr := openCopy(t, data)
+		if want := aerr == nil && crcOK; (oerr == nil) != want {
+			t.Fatalf("copying open returned %v; parser accepts=%v, CRC verifies=%v", oerr, aerr == nil, crcOK)
+		}
+		if aerr != nil {
 			return
 		}
-		// Load's full checksum pass accepts strictly fewer images than
-		// the structural parser; anything Load takes, parseIndex must
-		// take and agree on.
-		if perr != nil {
-			t.Fatalf("Load accepted an image parseIndex rejects: %v", perr)
+		if ap.Accel.D != mp.Accel.D || alib.Len() != mlib.Len() || alib.Skipped != mlib.Skipped {
+			t.Fatalf("parses disagree: aligned D=%d n=%d, misaligned D=%d n=%d",
+				ap.Accel.D, alib.Len(), mp.Accel.D, mlib.Len())
 		}
-		if lp.Accel.D != pp.Accel.D || llib.Len() != plib.Len() || llib.Skipped != plib.Skipped {
-			t.Fatalf("loaders disagree: load D=%d n=%d, parse D=%d n=%d",
-				lp.Accel.D, llib.Len(), pp.Accel.D, plib.Len())
+		if !slices.Equal(alib.DimPerm, mlib.DimPerm) {
+			t.Fatalf("parses disagree on bit-layout permutation: %d vs %d entries",
+				len(alib.DimPerm), len(mlib.DimPerm))
 		}
-		if !permsEqual(llib.DimPerm, plib.DimPerm) {
-			t.Fatalf("loaders disagree on bit-layout permutation: %d vs %d entries",
-				len(llib.DimPerm), len(plib.DimPerm))
-		}
-		for i := 0; i < llib.Len(); i++ {
-			if llib.Entries[i] != plib.Entries[i] || !llib.HVs[i].Equal(plib.HVs[i]) {
-				t.Fatalf("loaders disagree on entry %d", i)
+		for i := 0; i < alib.Len(); i++ {
+			if alib.Entries[i] != mlib.Entries[i] || !alib.HVs[i].Equal(mlib.HVs[i]) {
+				t.Fatalf("parses disagree on entry %d", i)
 			}
 		}
+		if ix != nil && ix.Lib.Len() != alib.Len() {
+			t.Fatalf("copying open decoded %d entries, parser %d", ix.Lib.Len(), alib.Len())
+		}
 	})
+}
+
+// alignedCopy copies data into a fresh buffer starting off bytes past
+// an 8-byte boundary.
+func alignedCopy(data []byte, off int) []byte {
+	words := make([]uint64, (len(data)+off+7)/8+1)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
+	return append(buf[off:off], data...)
 }
 
 // validIndexImage builds a small valid index image for seeding — a

@@ -1,10 +1,17 @@
 // Package libindex persists a built core.Library — the expensive
 // product of preprocessing and HD-encoding an entire spectral library
-// — as a versioned, checksummed binary index file. Loading an index
-// reconstructs a search engine in milliseconds (one pass over packed
-// words) instead of re-encoding every spectrum, which is what makes a
-// resident search service (cmd/omsd) economical: one library write is
-// amortized across arbitrarily many queries.
+// — as a versioned, checksummed binary index file. Opening an index
+// reconstructs a search engine in milliseconds (one metadata parse,
+// the packed words memory-mapped) instead of re-encoding every
+// spectrum, which is what makes a resident search service (cmd/omsd)
+// economical: one library write is amortized across arbitrarily many
+// queries.
+//
+// An index is either one file in the format below or a partition
+// manifest (a generation log, see log.go) naming several such files.
+// Open accepts both and returns a PartitionedIndex — a single file is
+// one base partition at generation 1 — so every reader serves through
+// core.NewPartitionedEngine.
 //
 // # File format (version 3, all integers little-endian)
 //
@@ -32,15 +39,19 @@
 // The perm section (new in version 3) records the entropy-guided
 // bit-layout permutation the stored hypervector words were packed
 // under. Queries must be permuted identically before scoring, so the
-// permutation is part of the index, not a serving-time option; both
-// loaders validate it is a true bijection over [0, d) before any
+// permutation is part of the index, not a serving-time option; the
+// parser validates it is a true bijection over [0, d) before any
 // search engine is built on the words.
 //
-// The trailing checksum covers the header too, so truncation, bit rot
-// and partial writes are all detected; Load additionally validates the
-// structural invariants the engine relies on (ascending masses, a true
-// permutation, zero tail bits beyond dimension d) so a corrupted file
-// can never silently mis-score searches.
+// One parser (parseIndex) decodes the format, from a mapping or from a
+// heap copy of the file. It validates the structural invariants the
+// engine relies on (ascending masses, a true permutation, zero tail
+// bits beyond dimension d) so a corrupted file can never silently
+// mis-score searches. The trailing checksum covers the header too, so
+// truncation, bit rot and partial writes are all detected: OpenFile's
+// copying fallback checks it at open, and Index.Verify (or
+// PartitionedIndex.VerifyPartitions) checks it for a mapped index on
+// demand.
 package libindex
 
 import (
@@ -98,7 +109,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	if p.Accel.D != d {
 		return fmt.Errorf("libindex: params dimension D=%d does not match library hypervector dimension D=%d", p.Accel.D, d)
 	}
-	// Refuse to write a file Load would reject: a hand-assembled
+	// Refuse to write a file the parser would reject: a hand-assembled
 	// library that never ran SortByMass has no permutation and may be
 	// out of mass order, and the failure should surface now rather
 	// than after the expensive build is gone.
@@ -120,7 +131,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	}
 	perm := lib.DimPerm
 	if len(perm) != 0 {
-		// Refuse to persist a permutation Load would reject.
+		// Refuse to persist a permutation the parser would reject.
 		if err := hdc.ValidatePermutation(perm, d); err != nil {
 			return fmt.Errorf("libindex: library bit-layout permutation: %w", err)
 		}
@@ -222,167 +233,6 @@ func SaveFile(path string, p core.Params, lib *core.Library) error {
 	return nil
 }
 
-// Load reads an index from r, verifies its checksum and structural
-// invariants, and reconstructs the library and the parameters it was
-// built with. The returned library is ready for
-// core.NewExactEngineFromLibrary — no spectrum is re-encoded.
-func Load(r io.Reader) (core.Params, *core.Library, error) {
-	p, lib, _, err := load(r)
-	return p, lib, err
-}
-
-// load is Load exposing the contiguous packed word block the
-// per-entry hypervectors are views over — the copying twin of
-// OpenFile, whose Index carries the same block for packed searcher
-// construction.
-func load(r io.Reader) (core.Params, *core.Library, []uint64, error) {
-	crc := crc32.New(castagnoli)
-	br := bufio.NewReaderSize(r, 1<<16)
-	dec := sectionReader{r: io.TeeReader(br, crc)}
-
-	var hdr [6]byte
-	dec.bytes(hdr[:])
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	if hdr != magic {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: not an OMS library index (bad magic %q)", hdr[:])
-	}
-	version := dec.u16()
-	if dec.err == nil && version != Version {
-		return core.Params{}, nil, nil, versionErr(version)
-	}
-	d := int(dec.u32())
-	shardSize := int(dec.u32())
-	n64 := dec.u64()
-	skipped := dec.u64()
-	paramsLen := int(dec.u32())
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	if d <= 0 || d > maxDim {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible hypervector dimension %d in header", d)
-	}
-	if n64 == 0 || n64 > maxEntries {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible entry count %d in header", n64)
-	}
-	if paramsLen <= 0 || paramsLen > maxParamsLen {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible params length %d in header", paramsLen)
-	}
-	n := int(n64)
-	words := hdc.WordsPerHV(d)
-	if int64(n)*int64(words) > maxTotalWords {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible index size: %d entries × %d words", n, words)
-	}
-
-	paramsJSON := make([]byte, paramsLen)
-	dec.bytes(paramsJSON)
-	permLen := int(dec.u32())
-	if dec.err == nil && permLen != 0 && permLen != d {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: bit-layout permutation has %d entries, want 0 (natural layout) or %d", permLen, d)
-	}
-	var perm []int
-	if permLen > 0 {
-		perm = make([]int, 0, min(permLen, allocChunk))
-		for len(perm) < permLen && dec.err == nil {
-			perm = append(perm, int(dec.u32()))
-		}
-	}
-	masses := make([]float64, 0, min(n, allocChunk))
-	for len(masses) < n && dec.err == nil {
-		masses = append(masses, dec.f64())
-	}
-	srcPos := make([]int, 0, min(n, allocChunk))
-	for len(srcPos) < n && dec.err == nil {
-		p64 := dec.u64()
-		if dec.err == nil && p64 >= n64 {
-			return core.Params{}, nil, nil, fmt.Errorf("libindex: source position %d out of range [0,%d)", p64, n)
-		}
-		srcPos = append(srcPos, int(p64))
-	}
-	entries := make([]core.LibraryEntry, 0, min(n, allocChunk))
-	for len(entries) < n && dec.err == nil {
-		flags := dec.u8()
-		entries = append(entries, core.LibraryEntry{
-			ID:      dec.str(),
-			Peptide: dec.str(),
-			IsDecoy: flags&1 != 0,
-			Mass:    masses[len(entries)],
-		})
-	}
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	// Skip the alignment pad; its bytes must be zero (they are covered
-	// by the checksum, but a crafted file deserves the clearer error).
-	var pad [8]byte
-	dec.bytes(pad[:-dec.n&7])
-	if dec.err == nil && pad != [8]byte{} {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: nonzero alignment padding")
-	}
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	// The bulk section: by now the file has backed its claimed entry
-	// count with the full metadata sections, so the exact allocation
-	// is warranted.
-	block := make([]uint64, n*words)
-	dec.u64s(block)
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-
-	// Checksum trailer: read from the raw reader so it does not hash
-	// itself, then confirm nothing trails it.
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return core.Params{}, nil, nil, loadErr(err)
-	}
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: checksum mismatch (file %08x, computed %08x): index is corrupted", want, got)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: trailing data after checksum")
-	}
-
-	p, err := decodeParams(paramsJSON)
-	if err != nil {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: decoding params: %w", err)
-	}
-	if p.Accel.D != d {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: params dimension D=%d disagrees with header dimension %d", p.Accel.D, d)
-	}
-	p.ShardSize = shardSize // header is authoritative for the shard hint
-	for i, m := range masses {
-		if math.IsNaN(m) || math.IsInf(m, 0) {
-			return core.Params{}, nil, nil, fmt.Errorf("libindex: non-finite precursor mass at entry %d", i)
-		}
-	}
-	// Slice the contiguous word block into per-entry hypervectors and
-	// re-check the packed-tail invariant (bits beyond dimension d must
-	// be zero, or every Hamming similarity would be silently skewed).
-	hvs := make([]hdc.BinaryHV, n)
-	tailMask := ^uint64(0)
-	if rem := d % 64; rem != 0 {
-		tailMask = (1 << uint(rem)) - 1
-	}
-	for i := range hvs {
-		row := block[i*words : (i+1)*words : (i+1)*words]
-		if row[words-1]&^tailMask != 0 {
-			return core.Params{}, nil, nil, fmt.Errorf("libindex: hypervector %d has bits set beyond dimension %d", i, d)
-		}
-		hvs[i] = hdc.BinaryHV{D: d, Words: row}
-	}
-	lib, err := core.RestoreLibrary(entries, hvs, srcPos, int(skipped))
-	if err != nil {
-		return core.Params{}, nil, nil, err
-	}
-	if err := lib.SetDimPerm(perm); err != nil {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: %w", err)
-	}
-	return p, lib, block, nil
-}
-
 // versionErr renders a version mismatch with enough history to tell
 // the operator what to do about it.
 func versionErr(version uint16) error {
@@ -392,25 +242,6 @@ func versionErr(version uint16) error {
 	default:
 		return fmt.Errorf("libindex: index version %d is newer than this build understands (version %d): upgrade the reader or rebuild the index", version, Version)
 	}
-}
-
-// LoadFile loads a library index from path.
-func LoadFile(path string) (core.Params, *core.Library, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return core.Params{}, nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-// loadErr normalizes read failures: any EOF inside a section means the
-// file ends before the format says it should.
-func loadErr(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("libindex: truncated index: %w", io.ErrUnexpectedEOF)
-	}
-	return fmt.Errorf("libindex: reading index: %w", err)
 }
 
 // sectionWriter writes fixed-width little-endian fields, capturing the
@@ -477,82 +308,6 @@ func (s *sectionWriter) u64s(vs []uint64) {
 		s.bytes(buf)
 		if s.err != nil {
 			return
-		}
-		vs = vs[c:]
-	}
-}
-
-// sectionReader mirrors sectionWriter for reads, counting bytes
-// consumed so the alignment pad can be located.
-type sectionReader struct {
-	r   io.Reader
-	err error
-	n   int64
-	buf [8]byte
-}
-
-func (s *sectionReader) bytes(b []byte) {
-	if s.err != nil {
-		return
-	}
-	_, s.err = io.ReadFull(s.r, b)
-	if s.err == nil {
-		s.n += int64(len(b))
-	}
-}
-
-func (s *sectionReader) u8() byte {
-	s.bytes(s.buf[:1])
-	return s.buf[0]
-}
-
-func (s *sectionReader) u16() uint16 {
-	s.bytes(s.buf[:2])
-	return binary.LittleEndian.Uint16(s.buf[:2])
-}
-
-func (s *sectionReader) u32() uint32 {
-	s.bytes(s.buf[:4])
-	return binary.LittleEndian.Uint32(s.buf[:4])
-}
-
-func (s *sectionReader) u64() uint64 {
-	s.bytes(s.buf[:8])
-	return binary.LittleEndian.Uint64(s.buf[:8])
-}
-
-func (s *sectionReader) f64() float64 { return math.Float64frombits(s.u64()) }
-
-func (s *sectionReader) str() string {
-	ln := int(s.u32())
-	if s.err != nil {
-		return ""
-	}
-	if ln < 0 || ln > maxStringLen {
-		s.err = fmt.Errorf("string length %d exceeds limit %d", ln, maxStringLen)
-		return ""
-	}
-	b := make([]byte, ln)
-	s.bytes(b)
-	return string(b)
-}
-
-// u64s fills a word slice in chunks through one scratch buffer.
-func (s *sectionReader) u64s(vs []uint64) {
-	if s.err != nil {
-		return
-	}
-	const chunkWords = 8192
-	buf := make([]byte, 0, chunkWords*8)
-	for len(vs) > 0 {
-		c := min(chunkWords, len(vs))
-		buf = buf[:c*8]
-		s.bytes(buf)
-		if s.err != nil {
-			return
-		}
-		for i := range vs[:c] {
-			vs[i] = binary.LittleEndian.Uint64(buf[i*8:])
 		}
 		vs = vs[c:]
 	}

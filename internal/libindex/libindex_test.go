@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -47,7 +48,19 @@ func buildEngine(t testing.TB, p core.Params, library []*spectrum.Spectrum) *cor
 	return engine
 }
 
-// TestRoundTripSearchIdentical pins the core contract: save → load →
+// openCopy writes img to a temporary file and opens it through
+// OpenFile's copying fallback (read, parse, CRC check) — the open path
+// of platforms without mmap.
+func openCopy(t testing.TB, img []byte) (*Index, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "copy.omsidx")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return openCopied(path)
+}
+
+// TestRoundTripSearchIdentical pins the core contract: save → open →
 // search is bit-identical to searching with the freshly built engine,
 // across dimensions, shard sizes and ID precisions.
 func TestRoundTripSearchIdentical(t *testing.T) {
@@ -67,10 +80,11 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 			if err := Save(&buf, p, built.Library()); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+			ix, err := openCopy(t, buf.Bytes())
 			if err != nil {
-				t.Fatalf("Load: %v", err)
+				t.Fatalf("open: %v", err)
 			}
+			lp, lib := ix.Params, ix.Lib
 			if lp.Accel.D != p.Accel.D || lp.Accel.IDPrecision != p.Accel.IDPrecision ||
 				lp.Accel.Seed != p.Accel.Seed || lp.ShardSize != p.ShardSize {
 				t.Fatalf("params round-trip mismatch: saved %+v loaded %+v", p.Accel, lp.Accel)
@@ -130,10 +144,11 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+	ix, err := openCopy(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp, lib := ix.Params, ix.Lib
 	s, err := hdc.NewShardedSearcher(lib.HVs, lp.ShardSize)
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +183,11 @@ func TestRoundTripCascadeParams(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+	ix, err := openCopy(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp, lib := ix.Params, ix.Lib
 	if !slices.Equal(lp.Tiers, p.Tiers) || lp.ShortlistPerQuery != p.ShortlistPerQuery {
 		t.Fatalf("cascade knobs did not round-trip: saved %v/%d, loaded %v/%d",
 			p.Tiers, p.ShortlistPerQuery, lp.Tiers, lp.ShortlistPerQuery)
@@ -222,7 +238,7 @@ func TestRoundTripCascadeParams(t *testing.T) {
 }
 
 // TestRoundTripSingleEntry pins the degenerate 1-entry library through
-// Save/Load and engine reconstruction (the 0-entry case is rejected by
+// Save/open and engine reconstruction (the 0-entry case is rejected by
 // Save and BuildLibrary).
 func TestRoundTripSingleEntry(t *testing.T) {
 	ds := testWorkload(t)
@@ -235,10 +251,11 @@ func TestRoundTripSingleEntry(t *testing.T) {
 	if err := SaveFile(path, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := LoadFile(path)
+	ix, err := openCopied(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp, lib := ix.Params, ix.Lib
 	if lib.Len() != 1 || lib.SourcePos(0) != 0 {
 		t.Fatalf("loaded %d entries, srcPos(0)=%d", lib.Len(), lib.SourcePos(0))
 	}
@@ -266,7 +283,7 @@ func TestRoundTripSingleEntry(t *testing.T) {
 
 // TestRoundTripEntropyLayout pins the version-3 permutation section:
 // an entropy-laid-out library round-trips its bit-layout permutation
-// through Save/Load, the loaded engine searches PSM-for-PSM
+// through Save/open, the loaded engine searches PSM-for-PSM
 // identically to the built one, and — the exactness claim — both agree
 // with a natural-layout build of the same library.
 func TestRoundTripEntropyLayout(t *testing.T) {
@@ -283,14 +300,15 @@ func TestRoundTripEntropyLayout(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+	ix, err := openCopy(t, buf.Bytes())
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("open: %v", err)
 	}
+	lp, lib := ix.Params, ix.Lib
 	if lp.BitLayout != core.BitLayoutEntropy || len(lp.Tiers) != 3 {
 		t.Fatalf("layout knobs did not round-trip: %+v", lp)
 	}
-	if !permsEqual(lib.DimPerm, built.Library().DimPerm) {
+	if !slices.Equal(lib.DimPerm, built.Library().DimPerm) {
 		t.Fatalf("bit-layout permutation did not round-trip: %d vs %d entries",
 			len(lib.DimPerm), len(built.Library().DimPerm))
 	}
@@ -338,7 +356,7 @@ func permSectionOffset(img []byte) int {
 	return 36 + int(binary.LittleEndian.Uint32(img[32:36]))
 }
 
-// TestLoadRejectsNonBijectivePerm pins that both loaders reject a
+// TestLoadRejectsNonBijectivePerm pins that both open paths reject a
 // checksummed image whose stored permutation is not a bijection — the
 // invariant that keeps permuted search exact.
 func TestLoadRejectsNonBijectivePerm(t *testing.T) {
@@ -359,8 +377,8 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	off := permSectionOffset(img)
 	copy(img[off+8:off+12], img[off+4:off+8])
 	fixCRC(img)
-	if _, _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "not a bijection") {
-		t.Fatalf("streaming loader: got %v, want a not-a-bijection rejection", err)
+	if _, err := openCopy(t, img); err == nil || !strings.Contains(err.Error(), "not a bijection") {
+		t.Fatalf("copying open: got %v, want a not-a-bijection rejection", err)
 	}
 	path := t.TempDir() + "/dup.omsidx"
 	if err := writeFile(path, img); err != nil {
@@ -375,6 +393,25 @@ func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
+// tailBitsImage is a checksummed D=100 index whose row 0 has bit 63 of
+// its last word set — a bit beyond the dimension that only the
+// parser's tail-word check can see.
+func tailBitsImage(t testing.TB) []byte {
+	t.Helper()
+	const n, d = 3, 100
+	p, lib := syntheticLibrary(t, n, d)
+	var buf bytes.Buffer
+	if err := Save(&buf, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	words := hdc.WordsPerHV(d)
+	lastWord := len(img) - 4 - n*words*8 + (words-1)*8
+	img[lastWord+7] |= 0x80
+	fixCRC(img)
+	return img
+}
+
 // corruptionCase mutates a valid index image and names the failure it
 // should provoke.
 type corruptionCase struct {
@@ -384,7 +421,8 @@ type corruptionCase struct {
 }
 
 // TestLoadRejectsCorruption pins that truncated, corrupted and
-// wrong-version files are rejected with descriptive errors.
+// wrong-version files are rejected with descriptive errors by the
+// copying open path, which parses the image and then checks its CRC.
 func TestLoadRejectsCorruption(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
@@ -480,23 +518,30 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			},
 			wantSub: "bit-layout permutation has 7 entries",
 		},
+		{
+			// A set bit beyond D in a checksummed image passes the CRC;
+			// the parser's tail-word check must catch it.
+			name:    "bits beyond dimension",
+			mutate:  func([]byte) []byte { return tailBitsImage(t) },
+			wantSub: "hypervector 0 has bits set beyond dimension 100",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := append([]byte(nil), valid...)
 			img = tc.mutate(img)
-			_, _, err := Load(bytes.NewReader(img))
+			_, err := openCopy(t, img)
 			if err == nil {
-				t.Fatalf("Load accepted a %s index", tc.name)
+				t.Fatalf("copying open accepted a %s index", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
 	}
-	// The pristine image must still load after all that slicing.
-	if _, _, err := Load(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("pristine image failed to load: %v", err)
+	// The pristine image must still open after all that slicing.
+	if _, err := openCopy(t, valid); err != nil {
+		t.Fatalf("pristine image failed to open: %v", err)
 	}
 }
 
@@ -509,10 +554,11 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err := SaveFile(path, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := LoadFile(path)
+	ix, err := openCopied(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp, lib := ix.Params, ix.Lib
 	if lib.Len() != built.Library().Len() {
 		t.Fatalf("loaded %d entries, want %d", lib.Len(), built.Library().Len())
 	}
@@ -536,8 +582,8 @@ func TestSaveRejectsMismatch(t *testing.T) {
 		t.Fatal("Save accepted params whose D disagrees with the library")
 	}
 	// A hand-assembled library that never ran SortByMass has no
-	// permutation; Save must refuse rather than write a file Load
-	// would reject.
+	// permutation; Save must refuse rather than write a file the
+	// parser would reject.
 	unsorted := &core.Library{
 		Entries: append([]core.LibraryEntry(nil), built.Library().Entries...),
 		HVs:     append([]hdc.BinaryHV(nil), built.Library().HVs...),

@@ -4,29 +4,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
 )
-
-// permsEqual reports whether two bit-layout permutations are the same
-// (both empty counts as equal: natural layout).
-func permsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // ManifestFormat identifies a partition manifest document.
 const ManifestFormat = "oms-library-manifest"
@@ -348,27 +334,15 @@ func (pi *PartitionedIndex) Close() error {
 // minus the trailer, which is what lets it catch a partition file that
 // is internally consistent but from a different build than the
 // manifest describes (a whole-file CRC would be the same residue
-// constant for every self-consistent file).
+// constant for every self-consistent file). Mapped and heap-copied
+// partitions are checked by the same code over their images.
 func (pi *PartitionedIndex) VerifyPartitions() error {
-	dir := filepath.Dir(pi.path)
 	states := pi.State.Partitions()
 	for i, part := range pi.Parts {
 		info := states[i].PartitionInfo
-		if err := part.Verify(); err != nil {
+		got := part.contentCRC()
+		if err := part.checkTrailer(got); err != nil {
 			return fmt.Errorf("libindex: partition %d (%s): %w", i, info.File, err)
-		}
-		var got uint32
-		if part.mapped != nil {
-			got = crc32.Checksum(part.mapped[:len(part.mapped)-4], castagnoli)
-		} else {
-			img, err := os.ReadFile(filepath.Join(dir, info.File))
-			if err != nil {
-				return fmt.Errorf("libindex: partition %d: %w", i, err)
-			}
-			if len(img) < 4 {
-				return fmt.Errorf("libindex: partition %d (%s): truncated (%d bytes)", i, info.File, len(img))
-			}
-			got = crc32.Checksum(img[:len(img)-4], castagnoli)
 		}
 		if got != info.CRC32C {
 			return fmt.Errorf("libindex: partition %d (%s): file CRC %08x disagrees with manifest CRC %08x (file replaced since the manifest was written?)",
@@ -376,6 +350,51 @@ func (pi *PartitionedIndex) VerifyPartitions() error {
 		}
 	}
 	return nil
+}
+
+// Open opens an index of either layout: a partition manifest through
+// OpenManifest, or a single index file (through OpenFile) as a
+// one-partition index — one base partition at generation 1 with no
+// tombstones, the coordinates core.NewPartitionedExactEngine assigns —
+// so every reader serves through core.NewPartitionedEngine.
+func Open(path string) (*PartitionedIndex, error) {
+	kind, err := DetectKind(path)
+	if err != nil {
+		return nil, err
+	}
+	if kind == KindManifest {
+		return OpenManifest(path)
+	}
+	ix, err := OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	paramsJSON, err := json.Marshal(ix.Params)
+	if err != nil {
+		ix.Close()
+		return nil, fmt.Errorf("libindex: re-encoding params: %w", err)
+	}
+	lib := ix.Lib
+	st := &ManifestState{
+		Generation: 1,
+		D:          ix.Params.Accel.D,
+		Skipped:    lib.Skipped,
+		Params:     paramsJSON,
+		DimPerm:    lib.DimPerm,
+		Base: []PartitionState{{
+			PartitionInfo: PartitionInfo{
+				File:    filepath.Base(path),
+				Refs:    lib.Len(),
+				MinMass: lib.Entries[0].Mass,
+				MaxMass: lib.Entries[lib.Len()-1].Mass,
+				Bytes:   int64(len(ix.image)),
+				CRC32C:  ix.trailer(),
+			},
+			Gen: 1,
+		}},
+		Tombstones: map[string]uint64{},
+	}
+	return &PartitionedIndex{State: st, Params: ix.Params, Parts: []*Index{ix}, path: path}, nil
 }
 
 // OpenManifest opens a partitioned library index: the generation log
@@ -444,7 +463,7 @@ func OpenManifest(path string) (*PartitionedIndex, error) {
 		// Same for the bit-layout permutation: a partition packed under a
 		// different permutation than the manifest advertises would be
 		// swept with wrongly-permuted queries.
-		if !permsEqual(lib.DimPerm, st.DimPerm) {
+		if !slices.Equal(lib.DimPerm, st.DimPerm) {
 			pi.Close()
 			return nil, fmt.Errorf("libindex: partition %d (%s) was packed under a different bit-layout permutation than the manifest records (mixed build generations?)", i, info.File)
 		}

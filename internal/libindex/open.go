@@ -18,8 +18,9 @@ import (
 // unix), the block aliases the mapping directly — opening costs one
 // metadata parse, not a copy of the bulk words, and the word pages
 // fault in lazily as searches touch them. On platforms without mmap,
-// or when mapping fails, OpenFile transparently falls back to the
-// copying loader and the block lives on the heap.
+// or when mapping fails, OpenFile reads the file onto the heap and
+// parses that image with the same parser, so the block lives on the
+// heap.
 type Index struct {
 	// Params are the engine parameters the library was built with
 	// (ShardSize from the header, everything else from the params JSON).
@@ -28,7 +29,8 @@ type Index struct {
 	Lib *core.Library
 
 	words  []uint64
-	mapped []byte // non-nil iff mmap-backed
+	image  []byte // the whole file image: the mapping, or its heap copy
+	mapped bool
 	closed bool
 	path   string
 }
@@ -48,15 +50,15 @@ func (ix *Index) Words() []uint64 {
 }
 
 // Mapped reports whether the index is memory-mapped (true) or was
-// copied to the heap by the fallback loader (false).
-func (ix *Index) Mapped() bool { return ix.mapped != nil }
+// copied to the heap by the fallback path (false).
+func (ix *Index) Mapped() bool { return ix.mapped }
 
 // Path returns the file the index was opened from.
 func (ix *Index) Path() string { return ix.path }
 
 // Close releases the mapping and poisons the index: the words view is
 // zeroed and Words panics afterwards, for a copied index exactly as
-// for a mapped one, so misuse does not depend on which loader ran.
+// for a mapped one, so misuse does not depend on which open path ran.
 // Every view already handed out — Lib.HVs, Words results, and any
 // searcher or engine packed over them — is invalid after Close; close
 // only after the engine built over this index is unreachable. Close is
@@ -68,28 +70,39 @@ func (ix *Index) Close() error {
 	}
 	ix.closed = true
 	ix.words = nil
-	m := ix.mapped
-	ix.mapped = nil
-	if m == nil {
+	img, mapped := ix.image, ix.mapped
+	ix.image, ix.mapped = nil, false
+	if !mapped {
 		return nil
 	}
-	return munmapFile(m)
+	return munmapFile(img)
 }
 
 // Verify checksums the full index image against its CRC-32C trailer.
-// OpenFile validates the metadata sections structurally but — unlike
-// Load — does not touch the bulk word pages, so a mapped index of
+// OpenFile validates the metadata sections structurally but does not
+// touch the bulk word pages of a mapped index, so a mapped index of
 // untrusted provenance can be verified explicitly here (at the cost of
-// faulting in every page). A copied index already passed the loader's
-// checksum; Verify reports nil without re-reading it.
-func (ix *Index) Verify() error {
-	if ix.mapped == nil {
-		return nil
+// faulting in every page). A copied index was already checked once by
+// OpenFile; Verify re-checks the same heap image.
+func (ix *Index) Verify() error { return ix.checkTrailer(ix.contentCRC()) }
+
+// contentCRC is the CRC-32C of the image minus its 4-byte trailer —
+// the value the trailer and a manifest's PartitionInfo.CRC32C record.
+func (ix *Index) contentCRC() uint32 {
+	if ix.closed {
+		panic("libindex: Verify on closed index " + ix.path + " (no view outlives its generation's Close)")
 	}
-	data := ix.mapped
-	got := crc32.Checksum(data[:len(data)-4], castagnoli)
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got != want {
+	return crc32.Checksum(ix.image[:len(ix.image)-4], castagnoli)
+}
+
+// trailer is the CRC-32C the image's last 4 bytes record.
+func (ix *Index) trailer() uint32 {
+	return binary.LittleEndian.Uint32(ix.image[len(ix.image)-4:])
+}
+
+// checkTrailer compares a computed content checksum with the trailer.
+func (ix *Index) checkTrailer(got uint32) error {
+	if want := ix.trailer(); got != want {
 		return fmt.Errorf("libindex: checksum mismatch (file %08x, computed %08x): index is corrupted", want, got)
 	}
 	return nil
@@ -97,53 +110,63 @@ func (ix *Index) Verify() error {
 
 // OpenFile opens a library index with the bulk word section
 // memory-mapped: the metadata sections (params, masses, permutation,
-// entry strings) are decoded and validated exactly as Load does, but
-// the packed words become a zero-copy []uint64 view over the mapping,
-// so opening is metadata-bound — independent of library size — and the
-// resident cost of a partition is only the pages its searches touch.
-// The word payload itself is not checksummed here (that would fault in
-// every page, defeating the point); use Load, or Index.Verify, when
-// the file's integrity is in question. On platforms without mmap, or
-// when mapping fails, OpenFile falls back to the copying loader —
-// callers observe the same Index either way.
+// entry strings) are decoded and validated, but the packed words
+// become a zero-copy []uint64 view over the mapping, so opening is
+// metadata-bound — independent of library size — and the resident
+// cost of a partition is only the pages its searches touch. The word
+// payload of a mapped index is not checksummed here (that would fault
+// in every page, defeating the point); use Index.Verify when the
+// file's integrity is in question. On platforms without mmap, or when
+// mapping fails, OpenFile reads the file onto the heap, parses it with
+// the same parser and checks its CRC — callers observe the same Index
+// either way.
 func OpenFile(path string) (*Index, error) {
+	if !mmapSupported {
+		return openCopied(path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if !mmapSupported {
-		return openCopied(f, path)
-	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	data, err := mmapFile(f, st.Size())
 	if err != nil {
-		return openCopied(f, path)
+		return openCopied(path)
 	}
 	p, lib, words, err := parseIndex(data)
 	if err != nil {
 		munmapFile(data)
 		return nil, err
 	}
-	return &Index{Params: p, Lib: lib, words: words, mapped: data, path: path}, nil
+	return &Index{Params: p, Lib: lib, words: words, image: data, mapped: true, path: path}, nil
 }
 
-// openCopied is OpenFile's fallback: the copying loader, wrapped in
-// the same Index shape (heap-backed block, nil mapping).
-func openCopied(f *os.File, path string) (*Index, error) {
-	p, lib, block, err := load(f)
+// openCopied is OpenFile's fallback: the file image is read onto the
+// heap, parsed, and — since the copy has already paid for touching
+// every byte — checked against its CRC trailer before it is returned.
+func openCopied(path string) (*Index, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{Params: p, Lib: lib, words: block, path: path}, nil
+	p, lib, words, err := parseIndex(data)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{Params: p, Lib: lib, words: words, image: data, path: path}
+	if err := ix.Verify(); err != nil {
+		return nil, err
+	}
+	return ix, nil
 }
 
 // byteCursor walks an in-memory index image with bounds-checked reads,
-// capturing the first error so call sites stay linear (the in-memory
-// mirror of sectionReader; every length is validated against the bytes
+// capturing the first error so call sites stay linear (the read-side
+// mirror of sectionWriter; every length is validated against the bytes
 // actually present before any slice is taken, so a crafted header can
 // neither panic nor drive an oversized allocation).
 type byteCursor struct {
@@ -333,6 +356,17 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 		block = make([]uint64, n*words)
 		for i := range block {
 			block[i] = binary.LittleEndian.Uint64(data[wordsOff+i*8:])
+		}
+	}
+	// Bits beyond dimension d must be zero, or every Hamming similarity
+	// against the row would be silently skewed. Only a dimension that
+	// leaves a partial last word has such bits to check.
+	if rem := d % 64; rem != 0 {
+		tailMask := uint64(1)<<rem - 1
+		for i := range n {
+			if block[(i+1)*words-1]&^tailMask != 0 {
+				return fail("hypervector %d has bits set beyond dimension %d", i, d)
+			}
 		}
 	}
 	hvs := make([]hdc.BinaryHV, n)

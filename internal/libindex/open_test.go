@@ -31,8 +31,9 @@ func resealRecordLine(t *testing.T, line string) []byte {
 
 // TestOpenFileMatchesLoad pins that the mmap-backed open path yields a
 // library, params and packed block bit-identical to the copying
-// loader, and that an engine over the packed block searches
-// identically to one over the loaded library.
+// fallback, and that the served engine over the mapped file (Open →
+// one-partition PartitionedEngine) searches identically to an engine
+// over the copied library.
 func TestOpenFileMatchesLoad(t *testing.T) {
 	ds := testWorkload(t)
 	cases := []struct{ d, shard, tier0 int }{
@@ -52,10 +53,11 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			lp, lib, err := LoadFile(path)
+			cp, err := openCopied(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lp, lib := cp.Params, cp.Lib
 			ix, err := OpenFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -83,13 +85,24 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 					t.Fatalf("source position %d mismatch", i)
 				}
 			}
+			if !slices.Equal(ix.Words(), cp.Words()) {
+				t.Fatal("packed word blocks differ between open and load")
+			}
 			if err := ix.Verify(); err != nil {
 				t.Fatalf("Verify on a pristine mapping: %v", err)
 			}
+			if err := cp.Verify(); err != nil {
+				t.Fatalf("Verify on a pristine copy: %v", err)
+			}
 
-			// Engine over the zero-copy block == engine over the loaded
-			// library, PSM for PSM.
-			packedEngine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+			// Served engine over the zero-copy block == engine over the
+			// copied library, PSM for PSM.
+			pi, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pi.Close()
+			packedEngine, _, err := core.NewPartitionedEngine(pi.Params, pi.PartitionSet())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,8 +130,8 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 	}
 }
 
-// TestOpenFileRejectsCorruption runs the Load corruption matrix
-// through the mmap parser — same crafted images, same refusals —
+// TestOpenFileRejectsCorruption runs the corruption matrix through the
+// mapped open path — same crafted images, same refusals —
 // except the flipped-body-bit case, which only the full checksum pass
 // can see (OpenFile defers it to Verify by design).
 func TestOpenFileRejectsCorruption(t *testing.T) {
@@ -154,6 +167,7 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 		{"truncated header", func(img []byte) []byte { return img[:10] }, "truncated"},
 		{"truncated mid-body", func(img []byte) []byte { return img[:len(img)/2] }, "truncated"},
 		{"trailing garbage", func(img []byte) []byte { return append(img, 0xAA) }, "trailing data"},
+		{"bits beyond dimension", func([]byte) []byte { return tailBitsImage(t) }, "hypervector 0 has bits set beyond dimension 100"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,6 +201,94 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 	// The pristine image must still open.
 	if err := open(append([]byte(nil), valid...)); err != nil {
 		t.Fatalf("pristine image failed to open: %v", err)
+	}
+}
+
+// TestOpenSingleFileAsOnePartition pins Open over a single index file:
+// one mapped base partition at generation 1 with no tombstones (the
+// coordinates NewPartitionedExactEngine assigns), a manifest record
+// whose size and content CRC describe the file, a VerifyPartitions
+// pass that accepts the pristine file and names a flipped word bit,
+// and Open over a manifest still returning every partition.
+func TestOpenSingleFileAsOnePartition(t *testing.T) {
+	p, lib := syntheticLibrary(t, 40, 256)
+	lib.Skipped = 3
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lib.omsidx")
+	if err := SaveFile(path, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	pi, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pi.Close()
+	st := pi.State
+	if len(pi.Parts) != 1 || pi.Parts[0].Mapped() != mmapSupported || pi.Path() != path {
+		t.Fatalf("Open(single file) = %d parts at %q, want one (mapped=%v)", len(pi.Parts), pi.Path(), mmapSupported)
+	}
+	if st.Generation != 1 || len(st.Base) != 1 || len(st.Deltas) != 0 || len(st.Tombstones) != 0 {
+		t.Fatalf("single-file state: generation %d, %d base, %d deltas, %d tombstones; want 1, 1, 0, 0",
+			st.Generation, len(st.Base), len(st.Deltas), len(st.Tombstones))
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := st.Base[0]
+	if base.Gen != 1 || base.GenRow != 0 || base.Delta || base.StartRow != 0 ||
+		base.Refs != lib.Len() || base.Bytes != fi.Size() || base.File != "lib.omsidx" ||
+		base.MinMass != lib.Entries[0].Mass || base.MaxMass != lib.Entries[lib.Len()-1].Mass {
+		t.Fatalf("single-file partition record %+v does not describe the file", base)
+	}
+	if st.Skipped != lib.Skipped || st.D != p.Accel.D || st.TotalRefs() != lib.Len() {
+		t.Fatalf("single-file identity: skipped %d D %d refs %d", st.Skipped, st.D, st.TotalRefs())
+	}
+	if sp, err := st.DecodeParams(); err != nil || sp.Accel != pi.Params.Accel {
+		t.Fatalf("single-file state params %+v (%v), want %+v", sp.Accel, err, pi.Params.Accel)
+	}
+	set := pi.PartitionSet()
+	if set.Generation != 1 || set.Skipped != lib.Skipped || len(set.Specs) != 1 || set.Tombstones != nil {
+		t.Fatalf("single-file partition set: generation %d skipped %d specs %d tombstones %v",
+			set.Generation, set.Skipped, len(set.Specs), set.Tombstones)
+	}
+	if err := pi.VerifyPartitions(); err != nil {
+		t.Fatalf("VerifyPartitions on a pristine single file: %v", err)
+	}
+
+	// A flipped word bit is invisible to the mapped open and must be
+	// named by VerifyPartitions (the copying open already rejects it).
+	if mmapSupported {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[len(img)-20] ^= 0x08
+		flipped := filepath.Join(dir, "flipped.omsidx")
+		if err := os.WriteFile(flipped, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fpi, err := Open(flipped)
+		if err != nil {
+			t.Fatalf("Open rejected a structurally valid image: %v", err)
+		}
+		defer fpi.Close()
+		if err := fpi.VerifyPartitions(); err == nil || !strings.Contains(err.Error(), "partition 0 (flipped.omsidx)") {
+			t.Fatalf("VerifyPartitions on a flipped word bit = %v, want a partition 0 corruption error", err)
+		}
+	}
+
+	manifest := filepath.Join(dir, "lib.manifest")
+	if err := SavePartitioned(manifest, p, lib, 3); err != nil {
+		t.Fatal(err)
+	}
+	mpi, err := Open(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mpi.Close()
+	if len(mpi.Parts) != 3 || mpi.State.TotalRefs() != lib.Len() {
+		t.Fatalf("Open(manifest) = %d parts over %d refs, want 3 over %d", len(mpi.Parts), mpi.State.TotalRefs(), lib.Len())
 	}
 }
 

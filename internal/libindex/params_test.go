@@ -51,7 +51,7 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // TestLegacyPrefilterWordsParams pins the translation of the removed
 // PrefilterWords knob: an index whose params carry "PrefilterWords": p
-// loads (through both the copying loader and the mmap opener) with
+// loads (through both the copying fallback and the mmap opener) with
 // the ladder Tiers [p], and the engine over it runs the same ladder
 // and returns the same results as one configured with -tiers p.
 func TestLegacyPrefilterWordsParams(t *testing.T) {
@@ -76,10 +76,11 @@ func TestLegacyPrefilterWordsParams(t *testing.T) {
 	}
 	wantStats, _ := want.CascadeStats()
 
-	lp, lib, err := LoadFile(path)
+	cp, err := openCopied(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp, lib := cp.Params, cp.Lib
 	ix, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)

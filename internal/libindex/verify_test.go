@@ -24,7 +24,7 @@ import (
 //     must say so.
 func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 	if !mmapSupported {
-		t.Skip("body corruption reaches VerifyPartitions only on mmap platforms; the copying loader checksums at open")
+		t.Skip("body corruption reaches VerifyPartitions only on mmap platforms; the copying open path checksums at open")
 	}
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
