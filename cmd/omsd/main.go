@@ -129,7 +129,7 @@ func main() {
 			cs.NumTiers(), core.FormatTiers(sv.tiers), sv.shortlist)
 	}
 
-	httpSrv := &http.Server{Handler: withRequestID(d.mux(), *accessLog)}
+	httpSrv := newHTTPServer(withRequestID(d.mux(), *accessLog), readHeaderTimeout, idleTimeout)
 	ln, err := net.Listen("tcp", *addr)
 	fatalIf(err)
 	if *debugAddr != "" {
@@ -146,7 +146,7 @@ func main() {
 		fatalIf(err)
 		fmt.Fprintf(os.Stderr, "omsd: pprof on %s\n", dln.Addr())
 		go func() {
-			if err := http.Serve(dln, debugMux); err != nil && !errors.Is(err, net.ErrClosed) {
+			if err := newHTTPServer(debugMux, readHeaderTimeout, idleTimeout).Serve(dln); err != nil && !errors.Is(err, net.ErrClosed) {
 				fmt.Fprintf(os.Stderr, "omsd: pprof server: %v\n", err)
 			}
 		}()
@@ -205,6 +205,23 @@ func main() {
 	fmt.Fprintf(os.Stderr, "omsd: listening on %s\n", ln.Addr())
 	fatalIf(serveUntilShutdown(httpSrv, ln, stop, 10*time.Second))
 	d.shutdown()
+}
+
+// Connection timeouts of both listeners. A client must deliver its
+// request headers within readHeaderTimeout, and a keep-alive
+// connection is closed after idleTimeout without a request, so a slow
+// or stalled client cannot pin a goroutine and a file descriptor
+// forever. There is deliberately no WriteTimeout: a bulk TSV response
+// may stream for as long as its sweep takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns a server for h with the given header-read and
+// keep-alive idle timeouts (main passes the constants above).
+func newHTTPServer(h http.Handler, headerTimeout, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idle}
 }
 
 // serveUntilShutdown serves httpSrv on ln until stop delivers a

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -285,6 +286,75 @@ func TestServeUntilShutdownServeError(t *testing.T) {
 	if err := serveUntilShutdown(&http.Server{}, ln, stop, time.Second); err == nil || errors.Is(err, http.ErrServerClosed) {
 		t.Fatalf("serve on closed listener returned %v, want a real error", err)
 	}
+}
+
+// TestSlowClientsDisconnected is the slowloris test: a connection
+// that sends a partial request line and then stalls must be closed by
+// the server once the header timeout passes, and a keep-alive
+// connection left idle must be closed after the idle timeout, so
+// neither pins a goroutine and a descriptor. Short timeouts reach the
+// server through newHTTPServer's arguments.
+func TestSlowClientsDisconnected(t *testing.T) {
+	const headerTimeout, idle = 100 * time.Millisecond, 200 * time.Millisecond
+	srv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	}), headerTimeout, idle)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	// waitClosed reads until the server closes conn, failing if it is
+	// still open after a generous client-side deadline.
+	waitClosed := func(conn net.Conn, what string, after time.Duration) {
+		t.Helper()
+		start := time.Now()
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("%s: server kept the connection open for %v", what, time.Since(start))
+			}
+		}
+		if el := time.Since(start); el < after/2 {
+			t.Fatalf("%s: connection closed after %v, before the %v timeout", what, el, after)
+		}
+	}
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	waitClosed(slow, "partial request line", headerTimeout)
+
+	// A prompt client is served normally, then dropped once idle.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: omsd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close() // the connection itself stays open for the idle check
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("prompt request: body %q, err %v", body, err)
+	}
+	waitClosed(conn, "idle keep-alive connection", idle)
 }
 
 // TestSearchBadBodies pins 400s for malformed input.

@@ -36,15 +36,20 @@ type incrWorkload struct {
 	baseParts   int
 	maxPartRefs int
 	entropy     bool
-	nBase       int // spectra in the initial partitioned build
-	chunk       int // fresh spectra per append step
-	ops         int // schedule length (append/retract/compact steps)
+	tiers       []int // cascade ladder (nil = single-tier)
+	nBase       int   // spectra in the initial partitioned build
+	chunk       int   // fresh spectra per append step
+	ops         int   // schedule length (append/retract/compact steps)
 }
 
 var incrWorkloads = []incrWorkload{
 	{name: "dense", seed: 101, d: 512, shard: 48, k: 6, baseParts: 3, maxPartRefs: 40, nBase: 220, chunk: 30, ops: 9},
 	{name: "entropy-layout", seed: 102, d: 1024, shard: 64, k: 4, baseParts: 2, maxPartRefs: 64, entropy: true, nBase: 160, chunk: 24, ops: 7},
 	{name: "churn", seed: 103, d: 512, shard: 32, k: 5, baseParts: 4, maxPartRefs: 24, nBase: 180, chunk: 20, ops: 11},
+	// Exact-cascade ladder: hidden rows are masked at tier-0 survivor
+	// admission, so the descent and its k-th-best bound see visible
+	// rows only.
+	{name: "cascade-ladder", seed: 104, d: 512, shard: 40, k: 5, baseParts: 3, maxPartRefs: 32, tiers: []int{1, 3, 4}, nBase: 200, chunk: 24, ops: 11},
 }
 
 // resultRow is a match resolved to library identity — global row
@@ -67,7 +72,10 @@ type resultRow struct {
 // building this list IS the oracle the manifest must match.
 type incrState struct {
 	visible []*spectrum.Spectrum
-	probes  []*spectrum.Spectrum // planted-tie spectra, replayed as queries
+	// probes are replayed as queries: planted-tie clones, plus every
+	// shadowed or retracted copy — its own hidden row is its perfect
+	// match, so a leak in the hidden-row mask tops the result list.
+	probes []*spectrum.Spectrum
 }
 
 func (s *incrState) indexOf(id string) int {
@@ -116,6 +124,7 @@ func incrParams(w incrWorkload) core.Params {
 	if w.entropy {
 		p.BitLayout = core.BitLayoutEntropy
 	}
+	p.Tiers = w.tiers
 	return p
 }
 
@@ -138,6 +147,9 @@ func verifyStep(t *testing.T, step string, manifest string, p core.Params, st *i
 	oracle, _, err := core.BuildExact(p, st.visible)
 	if err != nil {
 		t.Fatalf("%s: from-scratch oracle build: %v", step, err)
+	}
+	if _, cascade := pe.CascadeStats(); cascade != (len(p.Tiers) > 0) {
+		t.Fatalf("%s: manifest engine cascade=%v, workload ladder %v", step, cascade, p.Tiers)
 	}
 	if got, want := pe.NumRefs()-pe.OverlayStats().HiddenRefs, oracle.NumRefs(); got != want {
 		t.Fatalf("%s: %d visible references in manifest engine, from-scratch build has %d", step, got, want)
@@ -335,6 +347,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 						}
 						seen[src.ID] = true
 						chunk = append(chunk, mutateSpectrum(src, rng))
+						st.probes = append(st.probes, src)
 					}
 					appendChunk(step, chunk)
 				case "retract":
@@ -348,6 +361,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 						}
 						seen[src.ID] = true
 						ids = append(ids, src.ID)
+						st.probes = append(st.probes, src)
 					}
 					pi, err := libindex.OpenManifest(manifest)
 					if err != nil {

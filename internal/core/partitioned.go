@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -35,9 +36,10 @@ type partition struct {
 	// delta marks a delta-tier partition whose fences may overlap the
 	// base tiling.
 	delta bool
-	// hidden is the set of local rows excluded from the visible set
-	// (re-added in a newer generation, or tombstoned); nil when none.
-	hidden map[int]struct{}
+	// hiddenRefs counts the local rows excluded from the visible set
+	// (re-added in a newer generation, or tombstoned). The rows
+	// themselves are masked inside the searcher's scan.
+	hiddenRefs int
 }
 
 // PartitionedEngine serves OMS queries over a partitioned library —
@@ -48,8 +50,9 @@ type partition struct {
 // overlapping partitions via the mass fences, BatchTopKRange fans out
 // across partitions in parallel, and the per-partition top-k lists are
 // merged exactly: a global top-k member is necessarily in the top-k of
-// the partition holding it (widened by the partition's hidden-row
-// count, so shadowed rows can never crowd a visible one out), and the
+// the partition holding it (each searcher masks its shadowed rows
+// inside the scan, so a partition's top-k is over visible rows only
+// and shadowed rows can never crowd a visible one out), and the
 // merge comparator (similarity descending, then mass, generation,
 // generation-row ascending) reproduces, bit for bit, what a
 // single-file engine over the mass-sorted visible set returns. That
@@ -115,8 +118,8 @@ func NewPartitionedExactEngine(p Params, libs []*Library, blocks [][]uint64) (*P
 // set: base-tier specs first (ascending, non-overlapping mass
 // fences), then delta-tier specs in publish order. Tombstones and
 // cross-generation re-additions are resolved at construction into
-// per-partition hidden-row sets, so every search serves exactly the
-// visible set.
+// per-partition hidden-row masks attached to the searchers before the
+// engine is returned, so every search serves exactly the visible set.
 func NewPartitionedEngine(p Params, set PartitionSet) (*PartitionedEngine, *hdc.Encoder, error) {
 	specs := set.Specs
 	if len(specs) == 0 {
@@ -184,22 +187,26 @@ func NewPartitionedEngine(p Params, set PartitionSet) (*PartitionedEngine, *hdc.
 		} else {
 			searcher, err = hdc.NewShardedSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
 		}
+		if err == nil {
+			err = searcher.SetHidden(hidden[i])
+		}
 		if err != nil {
 			return nil, nil, err
 		}
+		nHidden := hidden[i].Count()
 		pe.parts = append(pe.parts, partition{
-			lib:      lib,
-			searcher: searcher,
-			start:    pe.total,
-			minMass:  minMass,
-			maxMass:  maxMass,
-			gen:      spec.Gen,
-			genRow:   spec.GenRow,
-			delta:    spec.Delta,
-			hidden:   hidden[i],
+			lib:        lib,
+			searcher:   searcher,
+			start:      pe.total,
+			minMass:    minMass,
+			maxMass:    maxMass,
+			gen:        spec.Gen,
+			genRow:     spec.GenRow,
+			delta:      spec.Delta,
+			hiddenRefs: nHidden,
 		})
 		pe.total += lib.Len()
-		pe.hiddenTotal += len(hidden[i])
+		pe.hiddenTotal += nHidden
 	}
 	if pe.hiddenTotal >= pe.total {
 		return nil, nil, fmt.Errorf("core: every reference row is shadowed (all %d rows hidden)", pe.total)
@@ -307,7 +314,7 @@ func (pe *PartitionedEngine) PartitionStats() []PartitionStat {
 		st := PartitionStat{
 			StartRow: p.start, Refs: p.lib.Len(),
 			MinMass: p.minMass, MaxMass: p.maxMass,
-			Gen: p.gen, Delta: p.delta, HiddenRefs: len(p.hidden),
+			Gen: p.gen, Delta: p.delta, HiddenRefs: p.hiddenRefs,
 		}
 		st.Cascade, st.CascadeEnabled = p.searcher.CascadeStats()
 		st.RowsSwept = p.searcher.RowsSwept()
@@ -367,12 +374,6 @@ func (pe *PartitionedEngine) partRange(p *partition, pq *PreparedQuery) (int, in
 	return p.lib.CandidateRange(pq.Mass, w)
 }
 
-// kEff is the per-partition retrieval depth: the global k widened by
-// the partition's hidden-row count, so that after shadowed rows are
-// filtered out the partition still surfaces its full visible top-k —
-// the containment argument the dedup merge's exactness rests on.
-func (p *partition) kEff(k int) int { return k + len(p.hidden) }
-
 // ResolvePrepared assembles a prepared query from an already encoded
 // (and, under an entropy layout, already permuted) hypervector: the
 // base-tier candidate range is resolved through the mass fences, and
@@ -421,20 +422,12 @@ func (p *partition) clip(lo, hi int) (int, int) {
 	return l, h
 }
 
-// rankBefore reports whether a outranks b: higher similarity, ties by
-// ascending global index — the merge comparator of the pure tiling
-// path, where global index order IS mass-then-append order.
-func rankBefore(a, b hdc.Match) bool {
-	if a.Similarity != b.Similarity {
-		return a.Similarity > b.Similarity
-	}
-	return a.Index < b.Index
-}
-
 // mergeTopK merges per-partition top-k lists (already offset to global
-// indices) into the exact global top-k — the pure tiling path.
+// indices) into the exact global top-k — the pure tiling path, where
+// global index order IS mass-then-append order, so the searcher's own
+// rank order is the merge order.
 func mergeTopK(merged []hdc.Match, k int) []hdc.Match {
-	sort.Slice(merged, func(i, j int) bool { return rankBefore(merged[i], merged[j]) })
+	slices.SortFunc(merged, hdc.CompareMatches)
 	if len(merged) > k {
 		merged = merged[:k]
 	}
@@ -451,33 +444,31 @@ type cand struct {
 	seq  int
 }
 
-// candBefore is the dedup merge comparator: similarity descending,
-// ties by ascending (mass, generation, generation-row). Over the
-// visible set this is exactly the order a from-scratch build yields —
-// a stable mass sort of the entries in append order — so the merge is
+// candCmp is the dedup merge comparator: similarity descending, ties
+// by ascending (mass, generation, generation-row). Over the visible
+// set this is exactly the order a from-scratch build yields — a stable
+// mass sort of the entries in append order — so the merge is
 // bit-identical to the single-file engine over that build. On a pure
-// single-generation tiling it degenerates to rankBefore: gen is
-// constant and seq is the global row, which ascends with mass.
-func candBefore(a, b cand) bool {
+// single-generation tiling it degenerates to hdc.CompareMatches: gen
+// is constant and seq is the global row, which ascends with mass.
+func candCmp(a, b cand) int {
 	if a.m.Similarity != b.m.Similarity {
-		return a.m.Similarity > b.m.Similarity
+		return cmp.Compare(b.m.Similarity, a.m.Similarity)
 	}
 	if a.mass != b.mass {
-		return a.mass < b.mass
+		return cmp.Compare(a.mass, b.mass)
 	}
 	if a.gen != b.gen {
-		return a.gen < b.gen
+		return cmp.Compare(a.gen, b.gen)
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // collectCands appends a partition's per-query matches to the merge
-// set, dropping hidden rows and attaching the merge coordinates.
+// set, attaching the merge coordinates. The searcher already masked
+// the partition's hidden rows out of top.
 func (p *partition) collectCands(out []cand, top []hdc.Match) []cand {
 	for _, m := range top {
-		if _, shadowed := p.hidden[m.Index]; shadowed {
-			continue
-		}
 		out = append(out, cand{
 			m:    hdc.Match{Index: m.Index + p.start, Similarity: m.Similarity},
 			mass: p.lib.Entries[m.Index].Mass,
@@ -491,7 +482,7 @@ func (p *partition) collectCands(out []cand, top []hdc.Match) []cand {
 // mergeCands sorts the merge set under the canonical visible order
 // and trims to the global k.
 func mergeCands(cands []cand, k int) []hdc.Match {
-	sort.Slice(cands, func(i, j int) bool { return candBefore(cands[i], cands[j]) })
+	slices.SortFunc(cands, candCmp)
 	if len(cands) > k {
 		cands = cands[:k]
 	}
@@ -530,7 +521,7 @@ func (pe *PartitionedEngine) TopKPrepared(pq PreparedQuery) []hdc.Match {
 		if lo >= hi {
 			continue
 		}
-		cands = p.collectCands(cands, p.searcher.TopKRange(pq.HV, lo, hi, p.kEff(k)))
+		cands = p.collectCands(cands, p.searcher.TopKRange(pq.HV, lo, hi, k))
 	}
 	return mergeCands(cands, k)
 }
@@ -582,9 +573,8 @@ func (pe *PartitionedEngine) batchTopKPrepared(qs []PreparedQuery, tr *obsv.Trac
 		go func(i int) {
 			defer wg.Done()
 			b := &batches[i]
-			kPart := pe.parts[i].kEff(k)
 			t0 := time.Now()
-			b.tops = pe.parts[i].searcher.BatchTopKRange(b.hvs, b.ranges, kPart, tr)
+			b.tops = pe.parts[i].searcher.BatchTopKRange(b.hvs, b.ranges, k, tr)
 			if tr == nil {
 				return
 			}

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/hdc"
+
 // PartitionSpec describes one live partition of an incrementally
 // updated library: its library (and optionally the contiguous packed
 // word block its hypervectors are views over), plus the generation
@@ -38,16 +40,18 @@ type PartitionSet struct {
 	Skipped    int
 }
 
-// HiddenRows computes, per partition spec, the set of local rows the
-// visible set excludes under newest-generation-wins dedup and
+// HiddenRows computes, per partition spec, the bitset of local rows
+// the visible set excludes under newest-generation-wins dedup and
 // tombstones: a row is hidden when a strictly newer generation
 // re-added its source id, or when a tombstone from a strictly newer
 // generation retracted it. Rows sharing an id within one generation
 // all stay visible (exactly as a from-scratch build of that input
 // would keep them). The result slice is aligned with specs; entries
-// are nil when the partition hides nothing.
-func HiddenRows(specs []PartitionSpec, tombstones map[string]uint64) []map[int]struct{} {
-	hidden := make([]map[int]struct{}, len(specs))
+// are nil when the partition hides nothing. The masks are the ones the
+// engine attaches to its searchers, so resolution and scan share one
+// representation.
+func HiddenRows(specs []PartitionSpec, tombstones map[string]uint64) []hdc.RowMask {
+	hidden := make([]hdc.RowMask, len(specs))
 	minGen, maxGen := ^uint64(0), uint64(0)
 	for _, s := range specs {
 		minGen = min(minGen, s.Gen)
@@ -81,9 +85,9 @@ func HiddenRows(specs []PartitionSpec, tombstones map[string]uint64) []map[int]s
 			}
 			if shadowed {
 				if hidden[i] == nil {
-					hidden[i] = make(map[int]struct{})
+					hidden[i] = hdc.NewRowMask(len(s.Lib.Entries))
 				}
-				hidden[i][r] = struct{}{}
+				hidden[i].Set(r)
 			}
 		}
 	}

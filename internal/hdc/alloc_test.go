@@ -13,16 +13,16 @@ import (
 // full occupancy, and the //oms:hotpath contract on its kernels
 // (scoreRows, distRow*, scoreBlockSims) is enforced statically by
 // omsvet's hotalloc analyzer. TopKRange additionally materializes its
-// rank-sorted result slice; that inherent per-call cost is pinned to a
-// small constant so scratch-reuse regressions (heap growth, lost
-// pooling) surface as a count jump, not a silent GC treadmill.
+// rank-sorted result slice; that inherent per-call cost is pinned
+// exactly, so scratch-reuse regressions (heap growth, lost pooling, a
+// reflect sort) surface as a count jump, not a silent GC treadmill.
 const (
 	// kernelSweepAllocs is the steady-state allocs/op of the blocked
 	// similarity sweep over a reused destination buffer.
 	kernelSweepAllocs = 0
 	// topKRangeMaxAllocs bounds the sequential TopKRange steady state:
-	// the returned match slice plus sort.Slice's closure machinery.
-	topKRangeMaxAllocs = 4
+	// the returned match slice, nothing else.
+	topKRangeMaxAllocs = 1
 )
 
 func allocSearcher(t *testing.T, d, n int, cc CascadeConfig) (*ShardedSearcher, BinaryHV) {
@@ -78,22 +78,39 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 }
 
 // TestTopKRangeSteadyStateAllocs pins the sequential top-k range scan
-// to its checked-in baseline across the ladder layouts.
+// to its checked-in baseline across the ladder layouts, with and
+// without a hidden-row mask: the mask is consulted in the scan loops
+// and must add no allocation.
 func TestTopKRangeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
 	for _, tc := range allocLadders {
-		t.Run(tc.name, func(t *testing.T) {
-			s, q := allocSearcher(t, 1024, 4096, tc.cc)
-			s.TopKRange(q, 0, s.Len(), 5)
-			allocs := testing.AllocsPerRun(50, func() {
-				s.TopKRange(q, 0, s.Len(), 5)
-			})
-			if allocs > topKRangeMaxAllocs {
-				t.Errorf("TopKRange allocates %.1f allocs/op in steady state, baseline %d",
-					allocs, topKRangeMaxAllocs)
+		for _, masked := range []bool{false, true} {
+			name := tc.name
+			if masked {
+				name += "/masked"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				s, q := allocSearcher(t, 1024, 4096, tc.cc)
+				if masked {
+					mask := NewRowMask(s.Len())
+					for r := 0; r < s.Len(); r += 3 {
+						mask.Set(r)
+					}
+					if err := s.SetHidden(mask); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.TopKRange(q, 0, s.Len(), 5)
+				allocs := testing.AllocsPerRun(50, func() {
+					s.TopKRange(q, 0, s.Len(), 5)
+				})
+				if allocs > topKRangeMaxAllocs {
+					t.Errorf("TopKRange allocates %.1f allocs/op in steady state, baseline %d",
+						allocs, topKRangeMaxAllocs)
+				}
+			})
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package hdc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -186,6 +188,11 @@ func (c CascadeStats) Sub(prev CascadeStats) CascadeStats {
 // only add distance, so the prune is exact at every rung and the
 // results stay bit-identical to the single-tier kernel. Shortlist
 // mode trades that guarantee for a fixed completion budget per query.
+//
+// A hidden-row mask (SetHidden) removes rows from the searchable set
+// without repacking: every scan path skips a masked row before it is
+// offered to a heap or admitted to a ladder descent, so results are
+// exactly those of a store holding only the visible rows.
 type ShardedSearcher struct {
 	d         int   // hypervector dimension
 	words     int   // packed words per hypervector, ceil(d/64)
@@ -197,6 +204,10 @@ type ShardedSearcher struct {
 	stride    []int // row stride within a shard's tier-t plane
 	shortlist int   // approximate completion budget per query (0 = exact)
 	shards    []shard
+	// hidden masks rows out of every result (nil = every row visible).
+	// Attached once by SetHidden before the searcher is shared; never
+	// mutated afterwards.
+	hidden RowMask
 
 	// tierRows[t] counts rows scored against tier t by cascade scan
 	// paths; nil when the layout is single-tier.
@@ -423,6 +434,34 @@ func (s *ShardedSearcher) addTierRows(counts []uint64) {
 // the cascade counters).
 func (s *ShardedSearcher) RowsSwept() uint64 { return s.swept.Load() }
 
+// SetHidden attaches the hidden-row mask: rows whose bit is set are
+// never returned by any search path, exactly as if they were absent
+// from the store, while k keeps its meaning (the k best visible rows).
+// A nil mask (or one with no bit set) makes every row visible. The
+// mask is aliased, not copied; it must be attached before the searcher
+// is shared between goroutines, and neither the caller nor the
+// searcher may mutate it afterwards.
+func (s *ShardedSearcher) SetHidden(mask RowMask) error {
+	if mask == nil {
+		s.hidden = nil
+		return nil
+	}
+	if want := rowMaskWords(s.n); len(mask) != want {
+		return fmt.Errorf("hdc: hidden-row mask of %d words, searcher of %d rows needs %d", len(mask), s.n, want)
+	}
+	if mask.Count() == 0 {
+		mask = nil
+	}
+	s.hidden = mask
+	return nil
+}
+
+// isHidden reports whether row is masked out of every result. With no
+// mask attached it is a single nil test.
+//
+//oms:hotpath
+func (s *ShardedSearcher) isHidden(row int) bool { return s.hidden.Has(row) }
+
 // checkQuery panics on a dimensionality mismatch.
 func (s *ShardedSearcher) checkQuery(q BinaryHV) {
 	if q.D != s.d {
@@ -584,6 +623,31 @@ func (r RowRange) Clamp(n int) RowRange {
 	return r
 }
 
+// RowMask is a row bitset: bit r%64 of word r/64 marks row r. A nil
+// mask marks no row.
+type RowMask []uint64
+
+// rowMaskWords returns the word count of a mask over n rows.
+func rowMaskWords(n int) int { return (n + 63) / 64 }
+
+// NewRowMask returns an empty mask over n rows.
+func NewRowMask(n int) RowMask { return make(RowMask, rowMaskWords(n)) }
+
+// Set marks row r.
+func (m RowMask) Set(r int) { m[r>>6] |= 1 << uint(r&63) }
+
+// Has reports whether row r is marked.
+func (m RowMask) Has(r int) bool { return m != nil && m[r>>6]&(1<<uint(r&63)) != 0 }
+
+// Count returns the number of marked rows.
+func (m RowMask) Count() int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // SimilaritiesRangeInto scores the query against packed rows [lo, hi)
 // (clamped to [0, Len())) through the blocked kernel, writing
 // HammingSimilarity(q, lo+j) to dst[j]. dst is grown as needed; the
@@ -719,12 +783,22 @@ func offerTopK(h []Match, m Match, k int) []Match {
 	return h
 }
 
+// CompareMatches orders matches by rank for slices.SortFunc:
+// similarity descending, ties by ascending index — a total order over
+// distinct rows, and the order every search path returns.
+func CompareMatches(a, b Match) int {
+	if a.Similarity != b.Similarity {
+		return cmp.Compare(b.Similarity, a.Similarity)
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
 // sortedMatches copies the heap into a fresh, rank-sorted result
 // slice (similarity descending, ties by ascending index).
 func sortedMatches(h []Match) []Match {
 	out := make([]Match, len(h))
 	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
+	slices.SortFunc(out, CompareMatches)
 	return out
 }
 
@@ -784,6 +858,9 @@ func (s *ShardedSearcher) topKRangeScratch(q BinaryHV, r RowRange, k int, sc *se
 			rows := min(s.block, end-b)
 			scoreRows(q.Words, sh.planes[0][(b-sh.start)*s.tw[0]:], s.tw[0], rows, s.d, sims)
 			for j := 0; j < rows; j++ {
+				if s.isHidden(b + j) {
+					continue
+				}
 				h = offerTopK(h, Match{Index: b + j, Similarity: sims[j]}, k)
 			}
 		}
@@ -822,6 +899,9 @@ func (s *ShardedSearcher) topKRangeCascade(q BinaryHV, r RowRange, k int, sc *se
 				distRows(q0, sh.planes[0][(b-sh.start)*s.stride[0]:], s.stride[0], rows, dists)
 				tcnt[0] += uint64(rows)
 				for j := 0; j < rows; j++ {
+					if s.isHidden(b + j) {
+						continue
+					}
 					ph = offerTopK(ph, Match{Index: b + j, Similarity: -dists[j]}, s.shortlist)
 				}
 			}
@@ -846,10 +926,12 @@ func (s *ShardedSearcher) topKRangeCascade(q BinaryHV, r RowRange, k int, sc *se
 				// Survivors of tier 0 at the bound as of the block start
 				// (a superset of the rows a live bound would admit; the
 				// final rung re-checks the live bound, so completion
-				// decisions match the per-row descent exactly).
+				// decisions match the per-row descent exactly). Hidden
+				// rows never descend, so the bound comes from visible
+				// rows only.
 				surv := sc.survBuf(rows)
 				for j, da := range dists[:rows] {
-					if da <= bound {
+					if da <= bound && !s.isHidden(b+j) {
 						surv = append(surv, int32(j))
 					}
 				}
@@ -936,8 +1018,8 @@ func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, 
 	// Sort by range start so each shard sees its queries as a
 	// near-contiguous run (mass-sorted query batches arrive almost
 	// sorted already); stable so equal starts keep query order.
-	sort.SliceStable(active, func(a, b int) bool {
-		return clamped[active[a]].Lo < clamped[active[b]].Lo
+	slices.SortStableFunc(active, func(a, b int) int {
+		return cmp.Compare(clamped[a].Lo, clamped[b].Lo)
 	})
 	s.batchRangeScan(queries, clamped, active, k, out, tr)
 	return out
@@ -1021,7 +1103,7 @@ func (s *ShardedSearcher) batchRangeScan(queries []BinaryHV, ranges []RowRange, 
 			// negated partial distance; the global shortlist is the
 			// best Shortlist of their union (identical to a
 			// single-heap sweep of the whole range), completed here.
-			sort.Slice(merged, func(a, b int) bool { return worse(merged[b], merged[a]) })
+			slices.SortFunc(merged, CompareMatches)
 			if len(merged) > s.shortlist {
 				merged = merged[:s.shortlist]
 			}
@@ -1034,7 +1116,7 @@ func (s *ShardedSearcher) batchRangeScan(queries []BinaryHV, ranges []RowRange, 
 				tbNanos += int64(time.Since(ct0))
 			}
 		}
-		sort.Slice(merged, func(a, b int) bool { return worse(merged[b], merged[a]) })
+		slices.SortFunc(merged, CompareMatches)
 		if len(merged) > k {
 			merged = merged[:k]
 		}
@@ -1133,16 +1215,20 @@ func (s *ShardedSearcher) scanShardRanges(si int, queries []BinaryHV, ranges []R
 				h := sq.heap
 				if len(h) < k {
 					for x := 0; x < r1-r0; x++ {
+						if s.isHidden(r0 + x) {
+							continue
+						}
 						h = offerTopK(h, Match{Index: r0 + x, Similarity: sims[x]}, k)
 					}
 				} else {
 					// Steady state: almost every row scores below the
 					// current worst of the top-k, so reject on one
 					// compare and take the heap path only for potential
-					// entrants (ties resolve inside).
+					// entrants (ties resolve inside). The mask is
+					// consulted only for those entrants.
 					worst := h[0].Similarity
 					for x, sim := range sims[:r1-r0] {
-						if sim < worst {
+						if sim < worst || s.isHidden(r0+x) {
 							continue
 						}
 						h = offerTopK(h, Match{Index: r0 + x, Similarity: sim}, k)
@@ -1155,6 +1241,9 @@ func (s *ShardedSearcher) scanShardRanges(si int, queries []BinaryHV, ranges []R
 				tcnt[0] += uint64(r1 - r0)
 				h := sq.heap
 				for x, da := range sims[:r1-r0] {
+					if s.isHidden(r0 + x) {
+						continue
+					}
 					h = offerTopK(h, Match{Index: r0 + x, Similarity: -da}, s.shortlist)
 				}
 				sq.heap = h
@@ -1174,7 +1263,7 @@ func (s *ShardedSearcher) scanShardRanges(si int, queries []BinaryHV, ranges []R
 				db := min(gb, local)
 				surv := sc.survBuf(r1 - r0)
 				for x, da := range sims[:r1-r0] {
-					if int64(da) <= db {
+					if int64(da) <= db && !s.isHidden(r0+x) {
 						surv = append(surv, int32(x))
 					}
 				}

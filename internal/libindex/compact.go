@@ -61,7 +61,7 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 	hidden := core.HiddenRows(set.Specs, set.Tombstones)
 	hiddenTotal := 0
 	for _, h := range hidden {
-		hiddenTotal += len(h)
+		hiddenTotal += h.Count()
 	}
 	if len(st.Deltas) == 0 && hiddenTotal == 0 && len(st.Tombstones) == 0 {
 		return CompactStats{Noop: true}, nil
@@ -73,7 +73,7 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 	states := st.Partitions()
 	affected := make([]bool, len(states))
 	for i := range states {
-		affected[i] = states[i].Delta || len(hidden[i]) > 0
+		affected[i] = states[i].Delta || hidden[i] != nil
 	}
 	for changed := true; changed; {
 		changed = false
@@ -113,7 +113,7 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 		stats.DroppedPartitions++
 		lib := pi.Parts[i].Lib
 		for r := range lib.Entries {
-			if _, shadowed := hidden[i][r]; shadowed {
+			if hidden[i].Has(r) {
 				stats.RemovedRefs++
 				continue
 			}
